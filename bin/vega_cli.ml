@@ -45,9 +45,11 @@
    campaign without acceleration or with canary-guarded escapes, a canary
    monitor failing its verification gate, a fleet run with quarantined
    devices, a repair run that leaves violating pairs unrepaired); 2 usage
-   errors; 3 runtime
-   errors such as a stale or unusable checkpoint (digest mismatch).
-   Unknown subcommands exit non-zero (cmdliner's exit 124).
+   errors — malformed or out-of-range options (--width must be a power of
+   two in [4, 32], --margin > 0, --domains and --devices >= 1), unknown
+   subcommands, and arguments the libraries reject; 3 runtime errors such
+   as a stale or unusable checkpoint (digest mismatch) or an unwritable
+   output file.
 
    The long-running subcommands (lift, guard-campaign, attack, repair) accept
    --checkpoint DIR to persist every completed work item atomically, and
@@ -93,11 +95,27 @@ let engine_arg =
            interpreter, one lane), $(b,sim64) (word-parallel interpreter), or $(b,simc) \
            (compiled superop programs).  sim64 and simc produce bit-identical verdicts.")
 
+(* A number option with a range check: an out-of-range value is a usage
+   error (exit 2) exactly like a malformed one. *)
+let checked base ~expect ok =
+  let parse s =
+    Result.bind (Arg.conv_parser base s) (fun v ->
+        if ok v then Ok v else Error (`Msg (Printf.sprintf "expected %s, got %s" expect s)))
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let width_conv =
+  checked Arg.int ~expect:"a power of two in [4, 32]" (fun w ->
+      w >= 4 && w <= 32 && w land (w - 1) = 0)
+
+let count_conv = checked Arg.int ~expect:"an integer >= 1" (fun n -> n >= 1)
+let margin_conv = checked Arg.float ~expect:"a number > 0" (fun m -> m > 0.0)
+
 let width_arg =
-  Arg.(value & opt int 16 & info [ "width" ] ~docv:"BITS" ~doc:"ALU datapath width (power of two, 4-32).")
+  Arg.(value & opt width_conv 16 & info [ "width" ] ~docv:"BITS" ~doc:"ALU datapath width (power of two, 4-32).")
 
 let margin_arg =
-  Arg.(value & opt float 1.0 & info [ "margin" ] ~docv:"M" ~doc:"Clock guardband over the fresh critical path (e.g. 1.005).")
+  Arg.(value & opt margin_conv 1.0 & info [ "margin" ] ~docv:"M" ~doc:"Clock guardband over the fresh critical path (e.g. 1.005).")
 
 let years_arg =
   Arg.(value & opt float 10.0 & info [ "years" ] ~docv:"Y" ~doc:"Assumed service life for the aging analysis.")
@@ -1135,12 +1153,12 @@ let fleet_cmd =
   let devices_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some count_conv) None
       & info [ "devices" ] ~docv:"N" ~doc:"Population size (devices evaluated).")
   in
   let domains_arg =
     Arg.(
-      value & opt int 1
+      value & opt count_conv 1
       & info [ "domains" ] ~docv:"D"
           ~doc:
             "Worker domains of the fleet pool.  Results are bit-identical for any $(docv): \
@@ -1172,14 +1190,14 @@ let fleet_cmd =
   let fleet_width_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some width_conv) None
       & info [ "width" ] ~docv:"BITS"
           ~doc:"ALU datapath width (default: the campaign preset's, 16 or 8 with $(b,--quick)).")
   in
   let fleet_margin_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some margin_conv) None
       & info [ "margin" ] ~docv:"M"
           ~doc:"Clock guardband of the shared analysis (default: the campaign preset's).")
   in
@@ -1214,7 +1232,7 @@ let fleet_cmd =
       | Some dir ->
         Result.map Option.some
           (Resilience.Checkpoint.open_sharded ~resume ~dir
-             ~digest:(Experiments.fleet_digest config) ~shards:(max 1 domains) ())
+             ~digest:(Experiments.fleet_digest config) ~shards:domains ())
     in
     match opened with
     | Error msg ->
@@ -1250,11 +1268,29 @@ let fleet_cmd =
 let () =
   let doc = "proactive runtime detection of aging-related silent data corruptions" in
   let info = Cmd.info "vega" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info
+      [
+        analyze_cmd; lift_cmd; run_cmd; emit_c_cmd; verilog_cmd; fuzz_cmd; optimize_cmd;
+        encode_cmd; lint_cmd; check_cmd; report_cmd; guard_campaign_cmd; attack_cmd;
+        monitors_cmd; repair_cmd; fleet_cmd;
+      ]
+  in
+  (* The one place bad input becomes an exit code: cmdliner's parse errors
+     and the libraries' argument checks are both usage errors. *)
   exit
-    (Cmd.eval'
-       (Cmd.group info
-          [
-            analyze_cmd; lift_cmd; run_cmd; emit_c_cmd; verilog_cmd; fuzz_cmd; optimize_cmd;
-            encode_cmd; lint_cmd; check_cmd; report_cmd; guard_campaign_cmd; attack_cmd;
-            monitors_cmd; repair_cmd; fleet_cmd;
-          ]))
+    (match Cmd.eval' ~catch:false cmd with
+    | code when code = Cmd.Exit.cli_error -> 2
+    | code -> code
+    | exception (Invalid_argument msg | Failure msg) ->
+      prerr_endline ("vega: " ^ msg);
+      2
+    | exception Not_found ->
+      prerr_endline "vega: no such register, cell or port in the unit";
+      2
+    | exception Sys_error msg ->
+      prerr_endline ("vega: " ^ msg);
+      3
+    | exception e ->
+      prerr_endline ("vega: internal error: " ^ Printexc.to_string e);
+      Cmd.Exit.internal_error)

@@ -68,27 +68,126 @@ let aged_timing ?(derate = 1.0) ?(clock_tree = Clock_tree.single_domain) ?toggle
     input_arrival_ps = 0.0;
   }
 
+(* Per-call state of the timing kernel shared by [analyze],
+   [endpoint_pairs] and [pair_path].  [timing.cell_delay] runs at most once
+   per cell, on first touch, so a one-pair query pays only for the cells
+   its DP touches; clock arrivals are taken once per domain.  The DP memo
+   is one float array whose entries count only when stamped with the
+   current cone's epoch, so starting the next endpoint's cone is one
+   increment.  Nothing outlives the call: fleet domains run calls
+   concurrently and repair edits the netlist between them. *)
+type kernel = {
+  nl : Netlist.t;
+  cells : Netlist.cell array;
+  timing : timing_source;
+  dmax : float array;
+  dmin : float array;
+  known : Bytes.t;
+  mutable clocks : (int * float) list;
+  memo : float array;
+  stamp : int array;
+  mutable epoch : int;
+}
+
+let kernel timing nl =
+  let nc = max 1 (Netlist.num_cells nl) and nn = max 1 (Netlist.num_nets nl) in
+  {
+    nl;
+    cells = Netlist.cells nl;
+    timing;
+    dmax = Array.make nc 0.0;
+    dmin = Array.make nc 0.0;
+    known = Bytes.make nc '\000';
+    clocks = [];
+    memo = Array.make nn 0.0;
+    stamp = Array.make nn 0;
+    epoch = 0;
+  }
+
+let delay k chk id =
+  if Bytes.get k.known id = '\000' then begin
+    let d = k.timing.cell_delay k.cells.(id) in
+    k.dmax.(id) <- d.Cell.tpd_max_ps;
+    k.dmin.(id) <- d.Cell.tpd_min_ps;
+    Bytes.set k.known id '\001'
+  end;
+  match chk with Setup -> k.dmax.(id) | Hold -> k.dmin.(id)
+
+let clock k dom =
+  match List.assoc_opt dom k.clocks with
+  | Some arr -> arr
+  | None ->
+    let arr = k.timing.clock_arrival_ps dom in
+    k.clocks <- (dom, arr) :: k.clocks;
+    arr
+
+(* Data launch at a register's Q pin, and required arrival at a capturing
+   register's D pin. *)
+let launch k chk sid =
+  let arr = clock k k.cells.(sid).clock_domain and dff = k.timing.dff_timing in
+  match chk with
+  | Setup -> arr +. dff.Cell.clk_to_q_max_ps
+  | Hold -> arr +. dff.Cell.clk_to_q_min_ps
+
+let required k chk ~clock_period_ps ep_id =
+  let cap_arr = clock k k.cells.(ep_id).clock_domain and dff = k.timing.dff_timing in
+  match chk with
+  | Setup -> clock_period_ps +. cap_arr -. dff.Cell.setup_ps
+  | Hold -> cap_arr +. dff.Cell.hold_ps
+
+let slack chk ~required arrival =
+  match chk with Setup -> required -. arrival | Hold -> arrival -. required
+
+(* Start the backward DP towards [d_net], invalidating the previous cone:
+   the returned function gives the max (setup) or min (hold)
+   combinational delay from a net to [d_net], non-finite when no path
+   connects them. *)
+let cone k chk d_net =
+  k.epoch <- k.epoch + 1;
+  let epoch = k.epoch in
+  let worse a b = match chk with Setup -> Float.max a b | Hold -> Float.min a b in
+  let neutral = match chk with Setup -> neg_infinity | Hold -> infinity in
+  let rec tail net =
+    if k.stamp.(net) = epoch then k.memo.(net)
+    else begin
+      let direct = if net = d_net then 0.0 else neutral in
+      let through =
+        List.fold_left
+          (fun acc rid ->
+            let g = k.cells.(rid) in
+            if Cell.Kind.is_sequential g.kind then acc
+            else begin
+              let t = tail g.output in
+              if Float.is_finite t then worse acc (delay k chk rid +. t) else acc
+            end)
+          neutral (Netlist.readers k.nl net)
+      in
+      let d = worse direct through in
+      k.memo.(net) <- d;
+      k.stamp.(net) <- epoch;
+      d
+    end
+  in
+  tail
+
 (* Maximum and minimum data arrival time at every net, relative to the
    launching clock edge at t = 0 (clock arrivals shift launch times per
    domain). *)
-let propagate_arrivals ~constrain_inputs nl timing =
-  let n = Netlist.num_nets nl in
+let propagate_arrivals ~constrain_inputs k =
+  let n = Netlist.num_nets k.nl in
   let at_max = Array.make (max n 1) neg_infinity in
   let at_min = Array.make (max n 1) infinity in
-  let cells = Netlist.cells nl in
   for net = 0 to n - 1 do
-    match Netlist.driver nl net with
+    match Netlist.driver k.nl net with
     | Netlist.Driven_by_input _ ->
       if constrain_inputs then begin
-        at_max.(net) <- timing.input_arrival_ps;
-        at_min.(net) <- timing.input_arrival_ps
+        at_max.(net) <- k.timing.input_arrival_ps;
+        at_min.(net) <- k.timing.input_arrival_ps
       end
     | Netlist.Driven_by_cell id when id >= 0 ->
-      let c = cells.(id) in
-      if Cell.Kind.is_sequential c.kind then begin
-        let arr = timing.clock_arrival_ps c.clock_domain in
-        at_max.(net) <- arr +. timing.dff_timing.Cell.clk_to_q_max_ps;
-        at_min.(net) <- arr +. timing.dff_timing.Cell.clk_to_q_min_ps
+      if Cell.Kind.is_sequential k.cells.(id).kind then begin
+        at_max.(net) <- launch k Setup id;
+        at_min.(net) <- launch k Hold id
       end
     | Netlist.Driven_by_cell _ ->
       (* undriven net (legal when unread, e.g. after Builder rewiring):
@@ -97,44 +196,38 @@ let propagate_arrivals ~constrain_inputs nl timing =
   done;
   Array.iter
     (fun id ->
-      let c = cells.(id) in
+      let c = k.cells.(id) in
       if Array.length c.inputs > 0 then begin
-        let d = timing.cell_delay c in
         let mx = Array.fold_left (fun acc i -> Float.max acc at_max.(i)) neg_infinity c.inputs in
         let mn = Array.fold_left (fun acc i -> Float.min acc at_min.(i)) infinity c.inputs in
-        at_max.(c.output) <- mx +. d.Cell.tpd_max_ps;
-        at_min.(c.output) <- mn +. d.Cell.tpd_min_ps
+        at_max.(c.output) <- mx +. delay k Setup id;
+        at_min.(c.output) <- mn +. delay k Hold id
       end
       (* Tie cells never transition: like unconstrained inputs, they launch
          no timing path (at_max stays -inf, at_min +inf). *))
-    (Netlist.topo_order nl);
+    (Netlist.topo_order k.nl);
   (at_max, at_min)
 
 exception Cap_reached
 
 let analyze ?(constrain_inputs = false) ?(max_violating_paths = 10_000) ~timing
     ~clock_period_ps nl =
-  let cells = Netlist.cells nl in
-  let at_max, at_min = propagate_arrivals ~constrain_inputs nl timing in
-  let dff = timing.dff_timing in
+  let k = kernel timing nl in
+  let cells = k.cells in
+  let at_max, at_min = propagate_arrivals ~constrain_inputs k in
   let truncated = ref false in
   let endpoint_slacks =
     List.map
       (fun id ->
-        let c = cells.(id) in
-        let d_net = c.inputs.(0) in
-        let cap_arr = timing.clock_arrival_ps c.clock_domain in
-        let setup_slack_ps =
-          clock_period_ps +. cap_arr -. dff.Cell.setup_ps -. at_max.(d_net)
-        in
-        let hold_slack_ps = at_min.(d_net) -. (cap_arr +. dff.Cell.hold_ps) in
+        let d_net = cells.(id).inputs.(0) in
+        let slack_at chk arrival = slack chk ~required:(required k chk ~clock_period_ps id) arrival in
+        let setup_slack_ps = slack_at Setup at_max.(d_net) in
+        let hold_slack_ps = slack_at Hold at_min.(d_net) in
         { ep = At_dff id; setup_slack_ps; hold_slack_ps })
       (Netlist.dffs nl)
   in
   (* Backward DFS recovering all violating paths to one endpoint. *)
   let enumerate chk (ep_id : int) acc =
-    let c = cells.(ep_id) in
-    let cap_arr = timing.clock_arrival_ps c.clock_domain in
     let results = ref acc in
     let count = ref (List.length acc) in
     let record p =
@@ -150,28 +243,14 @@ let analyze ?(constrain_inputs = false) ?(max_violating_paths = 10_000) ~timing
       | Netlist.Driven_by_input _ ->
         if constrain_inputs then Some timing.input_arrival_ps else None
       | Netlist.Driven_by_cell id ->
-        let src = cells.(id) in
-        if Cell.Kind.is_sequential src.kind then
-          let arr = timing.clock_arrival_ps src.clock_domain in
-          Some
-            (match chk with
-            | Setup -> arr +. dff.Cell.clk_to_q_max_ps
-            | Hold -> arr +. dff.Cell.clk_to_q_min_ps)
-        else None
+        if Cell.Kind.is_sequential cells.(id).kind then Some (launch k chk id) else None
     in
     let startpoint_of net =
       match Netlist.driver nl net with
       | Netlist.Driven_by_input (port, bit) -> From_input (port, bit)
       | Netlist.Driven_by_cell id -> From_dff id
     in
-    let required =
-      match chk with
-      | Setup -> clock_period_ps +. cap_arr -. dff.Cell.setup_ps
-      | Hold -> cap_arr +. dff.Cell.hold_ps
-    in
-    let violates arrival =
-      match chk with Setup -> arrival > required | Hold -> arrival < required
-    in
+    let required = required k chk ~clock_period_ps ep_id in
     let prune net suffix =
       match chk with
       | Setup -> at_max.(net) +. suffix <= required
@@ -180,34 +259,28 @@ let analyze ?(constrain_inputs = false) ?(max_violating_paths = 10_000) ~timing
     let rec visit net suffix through =
       if not (prune net suffix) then begin
         match source_launch net with
-        | Some launch ->
-          let arrival = launch +. suffix in
-          if violates arrival then
+        | Some launch_ps ->
+          let arrival = launch_ps +. suffix in
+          let slack_ps = slack chk ~required arrival in
+          if slack_ps < 0.0 then
             record
               {
                 start = startpoint_of net;
                 finish = At_dff ep_id;
                 through;
                 delay_ps = arrival;
-                slack_ps =
-                  (match chk with
-                  | Setup -> required -. arrival
-                  | Hold -> arrival -. required);
+                slack_ps;
                 check = chk;
               }
         | None ->
           (match Netlist.driver nl net with
           | Netlist.Driven_by_input _ -> ()
           | Netlist.Driven_by_cell id ->
-            let g = cells.(id) in
-            let d = timing.cell_delay g in
-            let step =
-              match chk with Setup -> d.Cell.tpd_max_ps | Hold -> d.Cell.tpd_min_ps
-            in
-            Array.iter (fun i -> visit i (suffix +. step) (id :: through)) g.inputs)
+            let step = delay k chk id in
+            Array.iter (fun i -> visit i (suffix +. step) (id :: through)) cells.(id).inputs)
       end
     in
-    (try visit c.inputs.(0) 0.0 [] with Cap_reached -> ());
+    (try visit cells.(ep_id).inputs.(0) 0.0 [] with Cap_reached -> ());
     !results
   in
   let worst_first paths = List.sort (fun a b -> Float.compare a.slack_ps b.slack_ps) paths in
@@ -242,73 +315,26 @@ let analyze ?(constrain_inputs = false) ?(max_violating_paths = 10_000) ~timing
    is immune to path-count explosion. *)
 let endpoint_pairs ?(constrain_inputs = false) ?(skip = fun _ _ _ -> false) ~timing
     ~clock_period_ps nl =
-  let cells = Netlist.cells nl in
-  let dff = timing.dff_timing in
+  let k = kernel timing nl in
   let results = ref [] in
   let for_check chk =
     List.iter
       (fun ep_id ->
-        let ec = cells.(ep_id) in
-        let d_net = ec.inputs.(0) in
-        let cap_arr = timing.clock_arrival_ps ec.clock_domain in
-        let required =
-          match chk with
-          | Setup -> clock_period_ps +. cap_arr -. dff.Cell.setup_ps
-          | Hold -> cap_arr +. dff.Cell.hold_ps
-        in
-        (* delay from each net to d_net through combinational logic *)
-        let memo = Hashtbl.create 64 in
-        let worse a b = match chk with Setup -> Float.max a b | Hold -> Float.min a b in
-        let neutral = match chk with Setup -> neg_infinity | Hold -> infinity in
-        let rec delay_from net =
-          match Hashtbl.find_opt memo net with
-          | Some d -> d
-          | None ->
-            let direct = if net = d_net then 0.0 else neutral in
-            let through =
-              List.fold_left
-                (fun acc rid ->
-                  let g = cells.(rid) in
-                  if Cell.Kind.is_sequential g.kind then acc
-                  else begin
-                    let d = timing.cell_delay g in
-                    let step =
-                      match chk with Setup -> d.Cell.tpd_max_ps | Hold -> d.Cell.tpd_min_ps
-                    in
-                    let tail = delay_from g.output in
-                    if Float.is_finite tail then worse acc (step +. tail) else acc
-                  end)
-                neutral (Netlist.readers nl net)
-            in
-            let d = worse direct through in
-            Hashtbl.replace memo net d;
-            d
-        in
-        let consider start launch net =
+        let required = required k chk ~clock_period_ps ep_id in
+        let tail = cone k chk k.cells.(ep_id).inputs.(0) in
+        let consider start launch_ps net =
           (* Skipped pairs do no DP work at all: when every pair of an
              endpoint is skipped, its fan-in cone is never traversed. *)
           if not (skip start (At_dff ep_id) chk) then begin
-            let tail = delay_from net in
-            if Float.is_finite tail then begin
-              let arrival = launch +. tail in
-              let slack =
-                match chk with Setup -> required -. arrival | Hold -> arrival -. required
-              in
-              results := (start, At_dff ep_id, chk, slack) :: !results
-            end
+            let t = tail net in
+            if Float.is_finite t then
+              let s = slack chk ~required (launch_ps +. t) in
+              results := (start, At_dff ep_id, chk, s) :: !results
           end
         in
         (* launching registers *)
         List.iter
-          (fun sid ->
-            let sc = cells.(sid) in
-            let arr = timing.clock_arrival_ps sc.clock_domain in
-            let launch =
-              match chk with
-              | Setup -> arr +. dff.Cell.clk_to_q_max_ps
-              | Hold -> arr +. dff.Cell.clk_to_q_min_ps
-            in
-            consider (From_dff sid) launch sc.output)
+          (fun sid -> consider (From_dff sid) (launch k chk sid) k.cells.(sid).output)
           (Netlist.dffs nl);
         (* primary inputs, when constrained *)
         if constrain_inputs then
@@ -341,79 +367,40 @@ let unique_pairs paths =
   Hashtbl.fold (fun key p acc -> (key, p) :: acc) tbl []
   |> List.sort (fun (_, a) (_, b) -> Float.compare a.slack_ps b.slack_ps)
 
-(* Worst path of one pair: rerun the per-endpoint DP of [endpoint_pairs]
-   for the one endpoint, then walk forward from the launching net choosing
-   at each step a reader that achieves the memoized extremal tail — the
-   walk reconstructs an argmax (argmin for hold) path without enumerating
-   the cone. *)
+(* Worst path of one pair: run the per-endpoint DP of [endpoint_pairs] for
+   the one endpoint, then walk forward from the launching net choosing at
+   each step a reader that achieves the memoized extremal tail — the walk
+   reconstructs an argmax (argmin for hold) path without enumerating the
+   cone. *)
 let pair_path ?(constrain_inputs = false) ~timing ~clock_period_ps nl start
     (At_dff ep_id) chk =
-  let cells = Netlist.cells nl in
-  let dff = timing.dff_timing in
-  let ec = cells.(ep_id) in
-  let d_net = ec.inputs.(0) in
-  let cap_arr = timing.clock_arrival_ps ec.clock_domain in
-  let required =
-    match chk with
-    | Setup -> clock_period_ps +. cap_arr -. dff.Cell.setup_ps
-    | Hold -> cap_arr +. dff.Cell.hold_ps
-  in
-  let memo = Hashtbl.create 64 in
-  let worse a b = match chk with Setup -> Float.max a b | Hold -> Float.min a b in
-  let neutral = match chk with Setup -> neg_infinity | Hold -> infinity in
-  let step_of g =
-    let d = timing.cell_delay g in
-    match chk with Setup -> d.Cell.tpd_max_ps | Hold -> d.Cell.tpd_min_ps
-  in
-  let rec delay_from net =
-    match Hashtbl.find_opt memo net with
-    | Some d -> d
-    | None ->
-      let direct = if net = d_net then 0.0 else neutral in
-      let through =
-        List.fold_left
-          (fun acc rid ->
-            let g = cells.(rid) in
-            if Cell.Kind.is_sequential g.kind then acc
-            else begin
-              let tail = delay_from g.output in
-              if Float.is_finite tail then worse acc (step_of g +. tail) else acc
-            end)
-          neutral (Netlist.readers nl net)
-      in
-      let d = worse direct through in
-      Hashtbl.replace memo net d;
-      d
-  in
-  let launch =
+  let k = kernel timing nl in
+  let cells = k.cells in
+  let d_net = cells.(ep_id).inputs.(0) in
+  let required = required k chk ~clock_period_ps ep_id in
+  let tail = cone k chk d_net in
+  let source =
     match start with
-    | From_dff sid ->
-      let sc = cells.(sid) in
-      let arr = timing.clock_arrival_ps sc.clock_domain in
-      Some
-        ( sc.output,
-          match chk with
-          | Setup -> arr +. dff.Cell.clk_to_q_max_ps
-          | Hold -> arr +. dff.Cell.clk_to_q_min_ps )
+    | From_dff sid -> Some (cells.(sid).output, launch k chk sid)
     | From_input (p, b) ->
       if constrain_inputs then
         Some (Netlist.net_of_port_bit nl p b, timing.input_arrival_ps)
       else None
   in
-  match launch with
+  match source with
   | None -> None
   | Some (net0, launch_ps) ->
-    let tail = delay_from net0 in
-    if not (Float.is_finite tail) then None
+    let t0 = tail net0 in
+    if not (Float.is_finite t0) then None
     else begin
       let pick net =
-        let t = delay_from net in
+        let t = tail net in
         List.find_opt
           (fun rid ->
             let g = cells.(rid) in
             (not (Cell.Kind.is_sequential g.kind))
-            && Float.is_finite (delay_from g.output)
-            && Float.abs (step_of g +. delay_from g.output -. t)
+            && Float.is_finite (tail g.output)
+            && Float.abs (delay k chk rid +. tail g.output -. t)
                <= 1e-6 *. (1.0 +. Float.abs t))
           (Netlist.readers nl net)
       in
@@ -424,17 +411,14 @@ let pair_path ?(constrain_inputs = false) ~timing ~clock_period_ps nl start
           | None -> List.rev acc
           | Some rid -> walk cells.(rid).output (rid :: acc)
       in
-      let arrival = launch_ps +. tail in
-      let slack_ps =
-        match chk with Setup -> required -. arrival | Hold -> arrival -. required
-      in
+      let arrival = launch_ps +. t0 in
       Some
         {
           start;
           finish = At_dff ep_id;
           through = walk net0 [];
           delay_ps = arrival;
-          slack_ps;
+          slack_ps = slack chk ~required arrival;
           check = chk;
         }
     end

@@ -324,6 +324,69 @@ let test_subcommand_list () =
     Alcotest.(check (list string)) "Cmd.group matches the documented subcommand list"
       expected_subcommands got
 
+(* Degenerate input to every subcommand: each row must end in its
+   documented exit code (2 usage, 3 runtime) with a short stderr message
+   naming the problem, never an uncaught exception or a backtrace. *)
+let degenerate_rows not_a_dir =
+  let widths sub extra =
+    List.map
+      (fun w -> (Printf.sprintf "%s --unit alu --width %d%s" sub w extra, 2, "--width"))
+      [ 1; 3; 64 ]
+  in
+  let margin sub = (sub ^ " --unit alu --width 8 --margin 0", 2, "--margin") in
+  List.concat_map (fun sub -> widths sub "")
+    [ "analyze"; "lift"; "run"; "emit-c"; "verilog"; "optimize"; "encode"; "lint"; "check";
+      "attack"; "monitors"; "repair" ]
+  @ widths "fuzz" " --pair a_q0:r_q0"
+  @ List.map margin [ "analyze"; "lift"; "run"; "emit-c"; "encode"; "monitors"; "repair" ]
+  @ [
+      ("fleet --quick --width 3", 2, "--width");
+      ("fleet --quick --domains 0", 2, "--domains");
+      ("fleet --quick --devices 0", 2, "--devices");
+      ("fleet --quick --margin 0", 2, "--margin");
+      ("report --quick --width 8", 2, "unknown option");
+      ("guard-campaign --quick --seed x", 2, "--seed");
+      ("guard-campaign --quick --checkpoint " ^ Filename.quote not_a_dir, 3, "Not a directory");
+      ("verilog --unit alu --width 8 --inject nosuch:r_q0:setup:0", 2, "no such register");
+      ("fuzz --unit alu --width 8 --pair nosuch:r_q0", 2, "no such register");
+      ("nosuch", 2, "unknown command");
+    ]
+
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let test_degenerate_arguments () =
+  match cli_path () with
+  | None -> Alcotest.skip ()
+  | Some cli ->
+    let not_a_dir = Filename.temp_file "vega_cli" ".file" in
+    let err = Filename.temp_file "vega_cli" ".err" in
+    let rows = degenerate_rows not_a_dir in
+    List.iter
+      (fun sub ->
+        Alcotest.(check bool) (sub ^ " has a degenerate-input row") true
+          (List.exists (fun (args, _, _) -> String.starts_with ~prefix:(sub ^ " ") args) rows))
+      expected_subcommands;
+    List.iter
+      (fun (args, code, mention) ->
+        let rc =
+          Sys.command
+            (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote cli) args Filename.null
+               (Filename.quote err))
+        in
+        let stderr = read_file err in
+        Alcotest.(check int) (args ^ ": exit code") code rc;
+        Alcotest.(check bool) (args ^ ": stderr names the problem") true (contains stderr mention);
+        List.iter
+          (fun bad ->
+            Alcotest.(check bool) (args ^ ": no " ^ bad) false (contains stderr bad))
+          [ "Raised at"; "Called from"; "internal error"; "exception"; "Fatal error" ])
+      rows;
+    Sys.remove not_a_dir;
+    Sys.remove err
+
 let () =
   Alcotest.run "spbound"
     [
@@ -346,5 +409,7 @@ let () =
         [
           Alcotest.test_case "static report matches golden" `Quick test_golden_static_report;
           Alcotest.test_case "subcommand list is complete" `Quick test_subcommand_list;
+          Alcotest.test_case "degenerate arguments exit cleanly" `Quick
+            test_degenerate_arguments;
         ] );
     ]

@@ -331,6 +331,503 @@ let prop_monte_carlo_paths_bounded =
          | None -> true  (* path from an unconstrained source *)
          | Some arrival -> arrival <= bound +. 1e-6))
 
+(* ---------- cached-delay kernel vs the per-edge reference ---------- *)
+
+(* Reference kernel in its plainest form: [timing.cell_delay] evaluated on
+   every DP edge and a fresh [Hashtbl] memo per endpoint.  [Sta]'s
+   cached-delay, epoch-memo kernel must reproduce it bit for bit. *)
+module Oracle = struct
+  open Sta
+
+  (* Maximum and minimum data arrival time at every net, relative to the
+     launching clock edge at t = 0 (clock arrivals shift launch times per
+     domain). *)
+  let propagate_arrivals ~constrain_inputs nl timing =
+    let n = Netlist.num_nets nl in
+    let at_max = Array.make (max n 1) neg_infinity in
+    let at_min = Array.make (max n 1) infinity in
+    let cells = Netlist.cells nl in
+    for net = 0 to n - 1 do
+      match Netlist.driver nl net with
+      | Netlist.Driven_by_input _ ->
+        if constrain_inputs then begin
+          at_max.(net) <- timing.input_arrival_ps;
+          at_min.(net) <- timing.input_arrival_ps
+        end
+      | Netlist.Driven_by_cell id when id >= 0 ->
+        let c = cells.(id) in
+        if Cell.Kind.is_sequential c.kind then begin
+          let arr = timing.clock_arrival_ps c.clock_domain in
+          at_max.(net) <- arr +. timing.dff_timing.Cell.clk_to_q_max_ps;
+          at_min.(net) <- arr +. timing.dff_timing.Cell.clk_to_q_min_ps
+        end
+      | Netlist.Driven_by_cell _ ->
+        (* undriven net (legal when unread, e.g. after Builder rewiring):
+           launches no timing path *)
+        ()
+    done;
+    Array.iter
+      (fun id ->
+        let c = cells.(id) in
+        if Array.length c.inputs > 0 then begin
+          let d = timing.cell_delay c in
+          let mx = Array.fold_left (fun acc i -> Float.max acc at_max.(i)) neg_infinity c.inputs in
+          let mn = Array.fold_left (fun acc i -> Float.min acc at_min.(i)) infinity c.inputs in
+          at_max.(c.output) <- mx +. d.Cell.tpd_max_ps;
+          at_min.(c.output) <- mn +. d.Cell.tpd_min_ps
+        end
+        (* Tie cells never transition: like unconstrained inputs, they launch
+           no timing path (at_max stays -inf, at_min +inf). *))
+      (Netlist.topo_order nl);
+    (at_max, at_min)
+
+  exception Cap_reached
+
+  let analyze ?(constrain_inputs = false) ?(max_violating_paths = 10_000) ~timing
+      ~clock_period_ps nl =
+    let cells = Netlist.cells nl in
+    let at_max, at_min = propagate_arrivals ~constrain_inputs nl timing in
+    let dff = timing.dff_timing in
+    let truncated = ref false in
+    let endpoint_slacks =
+      List.map
+        (fun id ->
+          let c = cells.(id) in
+          let d_net = c.inputs.(0) in
+          let cap_arr = timing.clock_arrival_ps c.clock_domain in
+          let setup_slack_ps =
+            clock_period_ps +. cap_arr -. dff.Cell.setup_ps -. at_max.(d_net)
+          in
+          let hold_slack_ps = at_min.(d_net) -. (cap_arr +. dff.Cell.hold_ps) in
+          { ep = At_dff id; setup_slack_ps; hold_slack_ps })
+        (Netlist.dffs nl)
+    in
+    (* Backward DFS recovering all violating paths to one endpoint. *)
+    let enumerate chk (ep_id : int) acc =
+      let c = cells.(ep_id) in
+      let cap_arr = timing.clock_arrival_ps c.clock_domain in
+      let results = ref acc in
+      let count = ref (List.length acc) in
+      let record p =
+        if !count >= max_violating_paths then begin
+          truncated := true;
+          raise Cap_reached
+        end;
+        results := p :: !results;
+        incr count
+      in
+      let source_launch net =
+        match Netlist.driver nl net with
+        | Netlist.Driven_by_input _ ->
+          if constrain_inputs then Some timing.input_arrival_ps else None
+        | Netlist.Driven_by_cell id ->
+          let src = cells.(id) in
+          if Cell.Kind.is_sequential src.kind then
+            let arr = timing.clock_arrival_ps src.clock_domain in
+            Some
+              (match chk with
+              | Setup -> arr +. dff.Cell.clk_to_q_max_ps
+              | Hold -> arr +. dff.Cell.clk_to_q_min_ps)
+          else None
+      in
+      let startpoint_of net =
+        match Netlist.driver nl net with
+        | Netlist.Driven_by_input (port, bit) -> From_input (port, bit)
+        | Netlist.Driven_by_cell id -> From_dff id
+      in
+      let required =
+        match chk with
+        | Setup -> clock_period_ps +. cap_arr -. dff.Cell.setup_ps
+        | Hold -> cap_arr +. dff.Cell.hold_ps
+      in
+      let violates arrival =
+        match chk with Setup -> arrival > required | Hold -> arrival < required
+      in
+      let prune net suffix =
+        match chk with
+        | Setup -> at_max.(net) +. suffix <= required
+        | Hold -> at_min.(net) +. suffix >= required
+      in
+      let rec visit net suffix through =
+        if not (prune net suffix) then begin
+          match source_launch net with
+          | Some launch ->
+            let arrival = launch +. suffix in
+            if violates arrival then
+              record
+                {
+                  start = startpoint_of net;
+                  finish = At_dff ep_id;
+                  through;
+                  delay_ps = arrival;
+                  slack_ps =
+                    (match chk with
+                    | Setup -> required -. arrival
+                    | Hold -> arrival -. required);
+                  check = chk;
+                }
+          | None ->
+            (match Netlist.driver nl net with
+            | Netlist.Driven_by_input _ -> ()
+            | Netlist.Driven_by_cell id ->
+              let g = cells.(id) in
+              let d = timing.cell_delay g in
+              let step =
+                match chk with Setup -> d.Cell.tpd_max_ps | Hold -> d.Cell.tpd_min_ps
+              in
+              Array.iter (fun i -> visit i (suffix +. step) (id :: through)) g.inputs)
+        end
+      in
+      (try visit c.inputs.(0) 0.0 [] with Cap_reached -> ());
+      !results
+    in
+    let worst_first paths = List.sort (fun a b -> Float.compare a.slack_ps b.slack_ps) paths in
+    let collect chk slack_of =
+      List.fold_left
+        (fun acc es ->
+          if slack_of es < 0.0 then
+            match es.ep with At_dff id -> enumerate chk id acc
+          else acc)
+        [] endpoint_slacks
+      |> worst_first
+    in
+    let setup_violations = collect Setup (fun e -> e.setup_slack_ps) in
+    let hold_violations = collect Hold (fun e -> e.hold_slack_ps) in
+    let wns slack_of =
+      List.fold_left (fun acc e -> Float.min acc (slack_of e)) 0.0 endpoint_slacks
+    in
+    {
+      clock_period_ps;
+      endpoint_slacks;
+      setup_violations;
+      hold_violations;
+      wns_setup_ps = wns (fun e -> e.setup_slack_ps);
+      wns_hold_ps = wns (fun e -> e.hold_slack_ps);
+      truncated = !truncated;
+    }
+
+
+  let endpoint_pairs ?(constrain_inputs = false) ?(skip = fun _ _ _ -> false) ~timing
+      ~clock_period_ps nl =
+    let cells = Netlist.cells nl in
+    let dff = timing.dff_timing in
+    let results = ref [] in
+    let for_check chk =
+      List.iter
+        (fun ep_id ->
+          let ec = cells.(ep_id) in
+          let d_net = ec.inputs.(0) in
+          let cap_arr = timing.clock_arrival_ps ec.clock_domain in
+          let required =
+            match chk with
+            | Setup -> clock_period_ps +. cap_arr -. dff.Cell.setup_ps
+            | Hold -> cap_arr +. dff.Cell.hold_ps
+          in
+          (* delay from each net to d_net through combinational logic *)
+          let memo = Hashtbl.create 64 in
+          let worse a b = match chk with Setup -> Float.max a b | Hold -> Float.min a b in
+          let neutral = match chk with Setup -> neg_infinity | Hold -> infinity in
+          let rec delay_from net =
+            match Hashtbl.find_opt memo net with
+            | Some d -> d
+            | None ->
+              let direct = if net = d_net then 0.0 else neutral in
+              let through =
+                List.fold_left
+                  (fun acc rid ->
+                    let g = cells.(rid) in
+                    if Cell.Kind.is_sequential g.kind then acc
+                    else begin
+                      let d = timing.cell_delay g in
+                      let step =
+                        match chk with Setup -> d.Cell.tpd_max_ps | Hold -> d.Cell.tpd_min_ps
+                      in
+                      let tail = delay_from g.output in
+                      if Float.is_finite tail then worse acc (step +. tail) else acc
+                    end)
+                  neutral (Netlist.readers nl net)
+              in
+              let d = worse direct through in
+              Hashtbl.replace memo net d;
+              d
+          in
+          let consider start launch net =
+            (* Skipped pairs do no DP work at all: when every pair of an
+               endpoint is skipped, its fan-in cone is never traversed. *)
+            if not (skip start (At_dff ep_id) chk) then begin
+              let tail = delay_from net in
+              if Float.is_finite tail then begin
+                let arrival = launch +. tail in
+                let slack =
+                  match chk with Setup -> required -. arrival | Hold -> arrival -. required
+                in
+                results := (start, At_dff ep_id, chk, slack) :: !results
+              end
+            end
+          in
+          (* launching registers *)
+          List.iter
+            (fun sid ->
+              let sc = cells.(sid) in
+              let arr = timing.clock_arrival_ps sc.clock_domain in
+              let launch =
+                match chk with
+                | Setup -> arr +. dff.Cell.clk_to_q_max_ps
+                | Hold -> arr +. dff.Cell.clk_to_q_min_ps
+              in
+              consider (From_dff sid) launch sc.output)
+            (Netlist.dffs nl);
+          (* primary inputs, when constrained *)
+          if constrain_inputs then
+            List.iter
+              (fun (p : Netlist.port) ->
+                Array.iteri
+                  (fun bit net -> consider (From_input (p.port_name, bit)) timing.input_arrival_ps net)
+                  p.port_nets)
+              (Netlist.inputs nl))
+        (Netlist.dffs nl)
+    in
+    for_check Setup;
+    for_check Hold;
+    List.rev !results
+
+  let pair_path ?(constrain_inputs = false) ~timing ~clock_period_ps nl start
+      (At_dff ep_id) chk =
+    let cells = Netlist.cells nl in
+    let dff = timing.dff_timing in
+    let ec = cells.(ep_id) in
+    let d_net = ec.inputs.(0) in
+    let cap_arr = timing.clock_arrival_ps ec.clock_domain in
+    let required =
+      match chk with
+      | Setup -> clock_period_ps +. cap_arr -. dff.Cell.setup_ps
+      | Hold -> cap_arr +. dff.Cell.hold_ps
+    in
+    let memo = Hashtbl.create 64 in
+    let worse a b = match chk with Setup -> Float.max a b | Hold -> Float.min a b in
+    let neutral = match chk with Setup -> neg_infinity | Hold -> infinity in
+    let step_of g =
+      let d = timing.cell_delay g in
+      match chk with Setup -> d.Cell.tpd_max_ps | Hold -> d.Cell.tpd_min_ps
+    in
+    let rec delay_from net =
+      match Hashtbl.find_opt memo net with
+      | Some d -> d
+      | None ->
+        let direct = if net = d_net then 0.0 else neutral in
+        let through =
+          List.fold_left
+            (fun acc rid ->
+              let g = cells.(rid) in
+              if Cell.Kind.is_sequential g.kind then acc
+              else begin
+                let tail = delay_from g.output in
+                if Float.is_finite tail then worse acc (step_of g +. tail) else acc
+              end)
+            neutral (Netlist.readers nl net)
+        in
+        let d = worse direct through in
+        Hashtbl.replace memo net d;
+        d
+    in
+    let launch =
+      match start with
+      | From_dff sid ->
+        let sc = cells.(sid) in
+        let arr = timing.clock_arrival_ps sc.clock_domain in
+        Some
+          ( sc.output,
+            match chk with
+            | Setup -> arr +. dff.Cell.clk_to_q_max_ps
+            | Hold -> arr +. dff.Cell.clk_to_q_min_ps )
+      | From_input (p, b) ->
+        if constrain_inputs then
+          Some (Netlist.net_of_port_bit nl p b, timing.input_arrival_ps)
+        else None
+    in
+    match launch with
+    | None -> None
+    | Some (net0, launch_ps) ->
+      let tail = delay_from net0 in
+      if not (Float.is_finite tail) then None
+      else begin
+        let pick net =
+          let t = delay_from net in
+          List.find_opt
+            (fun rid ->
+              let g = cells.(rid) in
+              (not (Cell.Kind.is_sequential g.kind))
+              && Float.is_finite (delay_from g.output)
+              && Float.abs (step_of g +. delay_from g.output -. t)
+                 <= 1e-6 *. (1.0 +. Float.abs t))
+            (Netlist.readers nl net)
+        in
+        let rec walk net acc =
+          if net = d_net then List.rev acc
+          else
+            match pick net with
+            | None -> List.rev acc
+            | Some rid -> walk cells.(rid).output (rid :: acc)
+        in
+        let arrival = launch_ps +. tail in
+        let slack_ps =
+          match chk with Setup -> required -. arrival | Hold -> arrival -. required
+        in
+        Some
+          {
+            start;
+            finish = At_dff ep_id;
+            through = walk net0 [];
+            delay_ps = arrival;
+            slack_ps;
+            check = chk;
+          }
+      end
+
+  let violating_of_pairs pairs =
+    List.filter (fun (_, _, _, slack) -> slack < 0.0) pairs
+    |> List.sort (fun (_, _, _, a) (_, _, _, b) -> Float.compare a b)
+end
+
+(* Bitwise float equality: stricter than [Float.equal], which identifies
+   0.0 with -0.0. *)
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let all2 f xs ys = List.length xs = List.length ys && List.for_all2 f xs ys
+
+let same_pair (s, e, c, x) (s', e', c', y) = s = s' && e = e' && c = c' && same_float x y
+
+let same_path (p : Sta.path) (q : Sta.path) =
+  p.start = q.start && p.finish = q.finish && p.through = q.through && p.check = q.check
+  && same_float p.delay_ps q.delay_ps
+  && same_float p.slack_ps q.slack_ps
+
+let same_report (r : Sta.report) (o : Sta.report) =
+  same_float r.clock_period_ps o.clock_period_ps
+  && all2
+       (fun (a : Sta.endpoint_slack) (b : Sta.endpoint_slack) ->
+         a.ep = b.ep
+         && same_float a.setup_slack_ps b.setup_slack_ps
+         && same_float a.hold_slack_ps b.hold_slack_ps)
+       r.endpoint_slacks o.endpoint_slacks
+  && all2 same_path r.setup_violations o.setup_violations
+  && all2 same_path r.hold_violations o.hold_violations
+  && same_float r.wns_setup_ps o.wns_setup_ps
+  && same_float r.wns_hold_ps o.wns_hold_ps
+  && r.truncated = o.truncated
+
+(* ALU8, ALU16 and FPU16 with their fresh critical paths, which scale the
+   clock period of each corner. *)
+let kernel_units =
+  lazy
+    (List.map
+       (fun (name, nl) ->
+         let clock_tree = Clock_tree.two_domain_gated ~sp_gated:0.05 () in
+         let timing = Sta.fresh_timing ~clock_tree Cell.Library.c28 in
+         let probe = Sta.analyze ~max_violating_paths:0 ~timing ~clock_period_ps:1e9 nl in
+         let crit =
+           List.fold_left
+             (fun acc (e : Sta.endpoint_slack) -> Float.max acc (1e9 -. e.Sta.setup_slack_ps))
+             0.0 probe.Sta.endpoint_slacks
+         in
+         (name, nl, crit))
+       [ ("alu8", Alu.netlist ~width:8 ()); ("alu16", Alu.netlist ~width:16 ()); ("fpu16", Fpu.netlist ()) ])
+
+type corner = {
+  unit_ix : int;
+  seed : int;  (** per-net SP and toggle-rate draws *)
+  years : float;
+  derate : float;
+  margin : float;
+  sp_gated : float;
+  em : bool;
+  constrain : bool;
+}
+
+let corner_gen =
+  QCheck.Gen.(
+    map2
+      (fun (unit_ix, seed, years, derate) (margin, sp_gated, em, constrain) ->
+        { unit_ix; seed; years; derate; margin; sp_gated; em; constrain })
+      (quad (int_bound 2) (int_bound 1_000_000) (float_range 0.0 30.0) (float_range 0.95 1.1))
+      (quad (float_range 0.97 1.05) (float_range 0.0 1.0) bool bool))
+
+let show_corner c =
+  Printf.sprintf "unit %d seed %d years %g derate %g margin %g sp_gated %g em %b constrain %b"
+    c.unit_ix c.seed c.years c.derate c.margin c.sp_gated c.em c.constrain
+
+let corner_timing c nl =
+  let rng = Random.State.make [| c.seed |] in
+  let sp = Array.init (Netlist.num_nets nl) (fun _ -> Random.State.float rng 1.0) in
+  let toggle = Array.init (Netlist.num_nets nl) (fun _ -> Random.State.float rng 1.0) in
+  Sta.aged_timing ~derate:c.derate
+    ~clock_tree:(Clock_tree.two_domain_gated ~sp_gated:c.sp_gated ())
+    ?toggle_of_net:(if c.em then Some (fun n -> toggle.(n)) else None)
+    ~sp_of_net:(fun n -> sp.(n))
+    ~years:c.years aglib_c28
+
+let prop_kernel_matches_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:12 ~name:"cached kernel bit-identical to per-edge oracle"
+       (QCheck.make ~print:show_corner corner_gen)
+       (fun c ->
+         let _, nl, crit = List.nth (Lazy.force kernel_units) c.unit_ix in
+         let timing = corner_timing c nl in
+         let clock_period_ps = crit *. c.margin and constrain_inputs = c.constrain in
+         let pairs = Sta.endpoint_pairs ~constrain_inputs ~timing ~clock_period_ps nl in
+         let violating = Sta.violating_pairs ~constrain_inputs ~timing ~clock_period_ps nl in
+         (* the worst violating pairs, a spread of all pairs, and one
+            primary-input start (None unless inputs are constrained) *)
+         let stride = max 1 (List.length pairs / 16) in
+         let queries =
+           (Sta.From_input ((List.hd (Netlist.inputs nl)).Netlist.port_name, 0),
+            Sta.At_dff (List.hd (Netlist.dffs nl)), Sta.Setup)
+           :: List.map (fun (s, e, k, _) -> (s, e, k))
+                (List.filteri (fun i _ -> i < 16) violating
+                @ List.filteri (fun i _ -> i mod stride = 0) pairs)
+         in
+         let same_query (s, e, k) =
+           Option.equal same_path
+             (Sta.pair_path ~constrain_inputs ~timing ~clock_period_ps nl s e k)
+             (Oracle.pair_path ~constrain_inputs ~timing ~clock_period_ps nl s e k)
+         in
+         let report = Sta.analyze ~constrain_inputs ~max_violating_paths:500 in
+         let oracle = Oracle.analyze ~constrain_inputs ~max_violating_paths:500 in
+         let oracle_pairs = Oracle.endpoint_pairs ~constrain_inputs ~timing ~clock_period_ps nl in
+         all2 same_pair pairs oracle_pairs
+         && all2 same_pair violating (Oracle.violating_of_pairs oracle_pairs)
+         && List.for_all same_query queries
+         && same_report (report ~timing ~clock_period_ps nl) (oracle ~timing ~clock_period_ps nl)))
+
+(* One kernel call evaluates [cell_delay] at most once per cell. *)
+let test_delay_once_per_cell () =
+  let corner =
+    { unit_ix = 0; seed = 1; years = 10.0; derate = 1.0; margin = 0.98; sp_gated = 0.05;
+      em = false; constrain = false }
+  in
+  List.iter
+    (fun (name, nl, crit) ->
+      let clock_period_ps = crit *. corner.margin in
+      let timing = corner_timing corner nl in
+      let counted what f =
+        let calls = Array.make (Netlist.num_cells nl) 0 in
+        let cell_delay (c : Netlist.cell) =
+          calls.(c.id) <- calls.(c.id) + 1;
+          timing.Sta.cell_delay c
+        in
+        f { timing with Sta.cell_delay };
+        Alcotest.(check int) (Printf.sprintf "%s %s: most calls for one cell" name what) 1
+          (Array.fold_left max 0 calls)
+      in
+      let pairs = Sta.violating_pairs ~timing ~clock_period_ps nl in
+      Alcotest.(check bool) (name ^ " corner violates") true (pairs <> []);
+      counted "endpoint_pairs" (fun timing ->
+          ignore (Sta.endpoint_pairs ~timing ~clock_period_ps nl));
+      counted "analyze" (fun timing -> ignore (Sta.analyze ~timing ~clock_period_ps nl));
+      let s, e, k, _ = List.hd pairs in
+      counted "pair_path" (fun timing ->
+          ignore (Sta.pair_path ~timing ~clock_period_ps nl s e k)))
+    (Lazy.force kernel_units)
+
 let () =
   Alcotest.run "sta"
     [
@@ -362,4 +859,9 @@ let () =
             test_skip_drops_only_skipped_pairs;
         ] );
       ("properties", [ prop_paths_within_bounds; prop_monte_carlo_paths_bounded ]);
+      ( "cached kernel",
+        [
+          prop_kernel_matches_oracle;
+          Alcotest.test_case "one cell_delay per cell" `Quick test_delay_once_per_cell;
+        ] );
     ]

@@ -401,8 +401,8 @@ let ablation_bti_vs_em () =
   in
   Vega.run_minver_workload m;
   let sim = Option.get (Machine.alu_sim m) in
-  let sp_of_net n = Sim.sp sim n in
-  let toggle_of_net n = Sim.toggle_rate sim n in
+  let sp_of_net n = Simc.sp sim n in
+  let toggle_of_net n = Simc.toggle_rate sim n in
   let tree = Clock_tree.two_domain_gated ~sp_gated:0.05 () in
   let period = alu8_fresh_crit *. 1.005 in
   let measure timing =
@@ -618,8 +618,8 @@ let run_telemetry () =
       alu8 ~workload:Vega.run_minver_workload
   in
   let rp = Vega.error_lifting_supervised analysis in
-  let s64 = Sim64.create ~profile:true alu8.Lift.netlist in
-  Sim64.run_random s64 ~cycles:256;
+  let sc = Simc.create ~profile:true alu8.Lift.netlist in
+  Simc.run_random sc ~cycles:256;
   let snap = Telemetry.snapshot () in
   Telemetry.disable ();
   let json =

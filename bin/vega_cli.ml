@@ -3,8 +3,7 @@
      vega analyze  --unit alu|fpu [--width N] [--margin M] [--years Y]
                    [--static | --static-prune]
      vega lift     --unit alu|fpu [--mitigation] [--asm] [--out FILE] [--seed N]
-                   [--slice N] [--budget N] [--no-fallback]
-                   [--engine scalar|sim64|simc] [--static-prune]
+                   [--slice N] [--budget N] [--no-fallback] [--static-prune]
                    [--checkpoint DIR] [--resume]
      vega run      --unit alu|fpu [--inject START:END:KIND:C] [--random-order SEED]
      vega emit-c   --unit alu|fpu
@@ -26,7 +25,7 @@
                    [--approx-bound RATE] [--seed N]
                    [--checkpoint DIR] [--resume]
      vega fleet    [--quick] [--width N] [--devices N] [--domains D] [--seed N]
-                   [--specs N] [--engine scalar|sim64|simc] [--poison ID,ID]
+                   [--specs N] [--poison ID,ID]
                    [--checkpoint DIR] [--resume]
 
    The pipeline subcommands (analyze, lift, run, fuzz, optimize, check,
@@ -75,25 +74,6 @@ let unit_conv =
 
 let unit_arg =
   Arg.(required & opt (some unit_conv) None & info [ "unit"; "u" ] ~docv:"UNIT" ~doc:"Functional unit: alu or fpu.")
-
-let engine_conv =
-  let parse s =
-    match Lift.engine_of_name s with
-    | Some e -> Ok e
-    | None -> Error (`Msg (Printf.sprintf "unknown engine %S (expected scalar, sim64, or simc)" s))
-  in
-  let print fmt e = Format.pp_print_string fmt (Lift.engine_name e) in
-  Arg.conv (parse, print)
-
-let engine_arg =
-  Arg.(
-    value
-    & opt engine_conv Lift.Engine_sim64
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Word-parallel simulation engine for detection sweeps: $(b,scalar) (reference \
-           interpreter, one lane), $(b,sim64) (word-parallel interpreter), or $(b,simc) \
-           (compiled superop programs).  sim64 and simc produce bit-identical verdicts.")
 
 (* A number option with a range check: an out-of-range value is a usage
    error (exit 2) exactly like a malformed one. *)
@@ -296,8 +276,11 @@ let analyze_cmd =
       | U_alu -> Option.get (Machine.alu_sim m)
       | U_fpu -> Option.get (Machine.fpu_sim m)
     in
-    if Sim.samples unit_sim > 1 then
-      print_string (Power.render (Power.analyze Cell.Library.c28 unit_sim ~clock_mhz:200.0));
+    if Simc.samples unit_sim > 1 then
+      print_string
+        (Power.render
+           (Power.analyze_engine (module Simc.Lane) Cell.Library.c28 (Simc.lane_view unit_sim 0)
+              ~clock_mhz:200.0));
     let a =
       Vega.aging_analysis ~config ~static_prune target ~workload:Vega.run_minver_workload
     in
@@ -369,14 +352,14 @@ let lift_cmd =
   let slice_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some count_conv) None
       & info [ "slice" ] ~docv:"CONFLICTS"
           ~doc:"First-pass per-pair solver-conflict slice (default: the formal budget, 200000).")
   in
   let budget_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some count_conv) None
       & info [ "budget" ] ~docv:"CONFLICTS"
           ~doc:"Total shared solver-conflict budget (default: slice x pairs).")
   in
@@ -386,7 +369,7 @@ let lift_cmd =
       & info [ "no-fallback" ]
           ~doc:"Disable the random-search fallback for formally-FF pairs.")
   in
-  let run tele unit_kind width margin mitigation asm out seed slice budget no_fallback engine
+  let run tele unit_kind width margin mitigation asm out seed slice budget no_fallback
       static_prune checkpoint resume =
     with_telemetry tele @@ fun () ->
     let target = target_of (unit_kind, width) in
@@ -422,7 +405,6 @@ let lift_cmd =
             sup0.Resilience.sv_ladder with
             Resilience.ld_fallback = not no_fallback;
             ld_seed = seed;
-            ld_engine = engine;
           };
       }
     in
@@ -441,7 +423,6 @@ let lift_cmd =
               string_of_int sup.Resilience.sv_budget_conflicts;
               string_of_int seed;
               string_of_bool (not no_fallback);
-              Lift.engine_name engine;
               string_of_bool static_prune;
             ]
         in
@@ -483,7 +464,7 @@ let lift_cmd =
   let term =
     Term.(
       const run $ telemetry_term $ unit_arg $ width_arg $ margin_arg $ mitigation_arg $ asm_arg
-      $ out_arg $ seed_arg $ slice_arg $ budget_arg $ no_fallback_arg $ engine_arg
+      $ out_arg $ seed_arg $ slice_arg $ budget_arg $ no_fallback_arg
       $ static_prune_arg $ checkpoint_arg $ resume_arg)
   in
   Cmd.v
@@ -1174,7 +1155,7 @@ let fleet_cmd =
   let specs_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some count_conv) None
       & info [ "specs" ] ~docv:"N" ~doc:"Violating pairs lifted into the deployed suite.")
   in
   let poison_arg =
@@ -1201,10 +1182,9 @@ let fleet_cmd =
       & info [ "margin" ] ~docv:"M"
           ~doc:"Clock guardband of the shared analysis (default: the campaign preset's).")
   in
-  let run tele quick width devices domains seed specs margin engine poison checkpoint resume =
+  let run tele quick width devices domains seed specs margin poison checkpoint resume =
     with_telemetry tele @@ fun () ->
     let base = if quick then Experiments.quick_fleet else Experiments.default_fleet in
-    let base = { base with Experiments.fd_engine = engine } in
     let base =
       match width with None -> base | Some w -> { base with Experiments.fd_width = w }
     in
@@ -1262,7 +1242,7 @@ let fleet_cmd =
           quarantined.")
     Term.(
       const run $ telemetry_term $ quick_arg $ fleet_width_arg $ devices_arg $ domains_arg
-      $ seed_arg $ specs_arg $ fleet_margin_arg $ engine_arg $ poison_arg $ checkpoint_arg
+      $ seed_arg $ specs_arg $ fleet_margin_arg $ poison_arg $ checkpoint_arg
       $ resume_arg)
 
 let () =

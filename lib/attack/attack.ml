@@ -15,7 +15,6 @@ type config = {
   atk_len : int;
   atk_iters : int;
   atk_sat_assist : bool;
-  atk_engine : Vega.profile_engine;
   atk_temp : float;
   atk_aging : Aging.config;
 }
@@ -26,7 +25,6 @@ let default_config =
     atk_len = 64;
     atk_iters = 40;
     atk_sat_assist = true;
-    atk_engine = Vega.Compiled_profile;
     atk_temp = 0.05;
     atk_aging = Aging.default_config;
   }
@@ -199,7 +197,7 @@ let search ?(config = default_config) (target : Lift.target) ~cells =
   let eval ops =
     incr evals;
     Telemetry.Counter.incr tele_evals;
-    match Vega.replay_sp ~engine:config.atk_engine target ops with
+    match Vega.replay_sp target ops with
     | None -> (neg_infinity, 0, fun (_ : Netlist.net) -> 0.5)
     | Some (samples, sp) ->
       let duty =

@@ -11,7 +11,7 @@
 
     The search is seeded hill climbing with a decaying-temperature
     annealing escape hatch, evaluated on the batched SP-replay fast path
-    ({!Vega.replay_sp}, compiled engine by default), plus an optional
+    ({!Vega.replay_sp} on {!Simc}), plus an optional
     SAT-assisted mode that asks the CDCL solver for a steady-state input
     assignment forcing a target cell's output low through its input cone —
     the found pattern becomes a "hold" segment in the mutation pool.
@@ -22,14 +22,13 @@ type config = {
   atk_len : int;  (** operations per candidate stream *)
   atk_iters : int;  (** mutate/evaluate iterations *)
   atk_sat_assist : bool;  (** derive hold patterns from the SAT solver *)
-  atk_engine : Vega.profile_engine;  (** SP-replay engine (default compiled) *)
   atk_temp : float;  (** initial annealing temperature; 0 = pure hill climb *)
   atk_aging : Aging.config;  (** the duty model scored by the objective *)
 }
 
 val default_config : config
-(** seed 0xA77, 64-op streams, 40 iterations, SAT assist on, compiled
-    engine, temperature 0.05, default aging corner. *)
+(** seed 0xA77, 64-op streams, 40 iterations, SAT assist on, temperature
+    0.05, default aging corner. *)
 
 type cell_stress = {
   cs_cell : string;  (** target cell instance name *)

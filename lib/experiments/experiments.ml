@@ -1163,11 +1163,6 @@ let quick_attack_campaign =
     ak_attack = { default_attack_campaign.ak_attack with Attack.atk_len = 32; atk_iters = 12 };
   }
 
-let profile_engine_name = function
-  | Vega.Scalar_profile -> "scalar"
-  | Vega.Batched_profile -> "batched"
-  | Vega.Compiled_profile -> "compiled"
-
 (* The resolved victim set: what the digest commits to, so a resumed
    campaign cannot silently aim at different cells. *)
 let attack_campaign_cells ?netlist (config : attack_campaign_config) =
@@ -1203,7 +1198,6 @@ let attack_campaign_digest ?netlist (config : attack_campaign_config) =
        string_of_int a.Attack.atk_len;
        string_of_int a.Attack.atk_iters;
        string_of_bool a.Attack.atk_sat_assist;
-       profile_engine_name a.Attack.atk_engine;
        Printf.sprintf "%.17g" a.Attack.atk_temp;
        (* the corner *)
        Printf.sprintf "%.17g" config.ak_years_max;
@@ -1442,7 +1436,7 @@ let attack_campaign ?(config = quick_attack_campaign) ?netlist ?(log = fun _ -> 
       0.0 probe.Sta.endpoint_slacks
   in
   let replay label ops =
-    match Vega.replay_sp ~engine:config.ak_attack.Attack.atk_engine target ops with
+    match Vega.replay_sp target ops with
     | Some (samples, sp) -> (samples, sp)
     | None -> failwith (Printf.sprintf "attack-campaign: %s SP replay produced no samples" label)
   in
@@ -1846,7 +1840,6 @@ type fleet_config = {
   fd_margin : float;
   fd_specs : int;
   fd_constants : Fault.constant list;
-  fd_engine : Lift.engine;
   fd_years_max : float;
   fd_year_steps : int;
   fd_temp_min_k : float;
@@ -1867,7 +1860,6 @@ let default_fleet =
     fd_margin = 1.04;
     fd_specs = 4;
     fd_constants = [ Fault.C0; Fault.C1 ];
-    fd_engine = Lift.Engine_sim64;
     fd_years_max = 10.0;
     fd_year_steps = 10;
     fd_temp_min_k = 330.0;
@@ -1998,7 +1990,6 @@ let fleet_digest ?netlist (c : fleet_config) =
         (List.map
            (function Fault.C0 -> "0" | Fault.C1 -> "1" | Fault.C_random -> "r")
            c.fd_constants);
-      Lift.engine_name c.fd_engine;
       Printf.sprintf "%.17g" c.fd_years_max;
       string_of_int c.fd_year_steps;
       Printf.sprintf "%.17g" c.fd_temp_min_k;
@@ -2096,7 +2087,7 @@ let fleet_eval ~config ~clock_period_ps ~nl ~sp_by_kernel ~suite ~case_prefix_cy
       let firsts =
         List.map
           (fun faulty ->
-            let det = Lift.detected_cases ~seed ~engine:config.fd_engine suite faulty in
+            let det = Lift.detected_cases ~seed suite faulty in
             let first = ref None in
             Array.iteri (fun i d -> if d && !first = None then first := Some i) det;
             !first)

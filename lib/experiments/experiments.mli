@@ -261,7 +261,7 @@ type attack_campaign_config = {
   ak_constants : Fault.constant list;
   ak_onset_frac : float;
   ak_seed : int;  (** machine RNG seed for the guard phase *)
-  ak_attack : Attack.config;  (** search budget, seed, engine *)
+  ak_attack : Attack.config;  (** search budget and seed *)
   ak_cells : string list;  (** [[]] = {!Attack.default_targets} *)
   ak_years_max : float;  (** TTV bisection horizon *)
   ak_ttv_precision : float;
@@ -389,7 +389,6 @@ type fleet_config = {
   fd_margin : float;  (** clock margin of the shared phase-1 analysis *)
   fd_specs : int;  (** violating pairs lifted into the deployed suite *)
   fd_constants : Fault.constant list;  (** capture constants injected *)
-  fd_engine : Lift.engine;  (** detection-sweep backend *)
   fd_years_max : float;
   fd_year_steps : int;  (** lifetime grid: step i = i/steps * years_max *)
   fd_temp_min_k : float;  (** corner distribution bounds *)
@@ -403,7 +402,7 @@ type fleet_config = {
 }
 
 val default_fleet : fleet_config
-(** 64 devices, alu16, 4 specs, sim64 engine, 10 lifetime steps over 10
+(** 64 devices, alu16, 4 specs, 10 lifetime steps over 10
     years, T in 330..420 K, Vdd in 0.9..1.1, all kernels. *)
 
 val quick_fleet : fleet_config

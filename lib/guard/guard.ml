@@ -37,8 +37,8 @@ module Injector = struct
     machine : Machine.t;
     slot : slot;
     spec : Fault.spec;
-    faulty_sim : Machine.unit_sim;
-    mutable golden_sim : Machine.unit_sim option;
+    faulty_sim : Simc.t;
+    mutable golden_sim : Simc.t option;
         (* stashed while the faulty replica is installed *)
     schedule : schedule;
     mutable state : state;
@@ -50,27 +50,16 @@ module Injector = struct
     | Alu_slot -> Machine.swap_alu_unit t.machine sim
     | Fpu_slot -> Machine.swap_fpu_unit t.machine sim
 
-  let create ?engine ~machine ~slot ~spec schedule =
-    let unit_sim =
+  let create ~machine ~slot ~spec schedule =
+    let golden_nl =
       match
         match slot with
-        | Alu_slot -> Machine.alu_unit_sim machine
-        | Fpu_slot -> Machine.fpu_unit_sim machine
+        | Alu_slot -> Machine.alu_sim machine
+        | Fpu_slot -> Machine.fpu_sim machine
       with
-      | Some u -> u
+      | Some u -> Simc.netlist u
       | None ->
         invalid_arg "Guard.Injector.create: the targeted unit runs on a functional backend"
-    in
-    let golden_nl = Machine.unit_sim_netlist unit_sim in
-    (* the faulty replica runs on the same engine as the unit it replaces,
-       unless the caller overrides *)
-    let engine =
-      match engine with
-      | Some e -> e
-      | None -> (
-        match unit_sim with
-        | Machine.Scalar_sim _ -> Machine.Scalar_unit
-        | Machine.Compiled_sim _ -> Machine.Compiled_unit)
     in
     (* A monitored golden unit carries dormant canaries; the aged replica
        carries the same canaries *armed* — swapping it in is the moment
@@ -102,7 +91,7 @@ module Injector = struct
       machine;
       slot;
       spec;
-      faulty_sim = Machine.make_unit_sim engine faulty_nl;
+      faulty_sim = Machine.make_unit_sim faulty_nl;
       golden_sim = None;
       schedule;
       state = Golden;
@@ -313,8 +302,8 @@ module Monitor = struct
       | Some inj -> Injector.disable inj
       | None -> (
         match suite.Lift.suite_target with
-        | Lift.Alu_module _ -> ignore (Machine.swap_alu_sim m None)
-        | Lift.Fpu_module _ -> ignore (Machine.swap_fpu_sim m None))
+        | Lift.Alu_module _ -> ignore (Machine.swap_alu_unit m None)
+        | Lift.Fpu_module _ -> ignore (Machine.swap_fpu_unit m None))
     in
     (* The hardware channel: read the monitored unit's sticky trip port.
        A poll is a register read — no test excursion, no machine-state
@@ -323,14 +312,14 @@ module Monitor = struct
        quiet on its own. *)
     let target_unit_sim () =
       match suite.Lift.suite_target with
-      | Lift.Alu_module _ -> Machine.alu_unit_sim m
-      | Lift.Fpu_module _ -> Machine.fpu_unit_sim m
+      | Lift.Alu_module _ -> Machine.alu_sim m
+      | Lift.Fpu_module _ -> Machine.fpu_sim m
     in
     let polling () =
       poll_cadence > 0
       &&
       match target_unit_sim () with
-      | Some us -> Canary.has_canaries (Machine.unit_sim_netlist us)
+      | Some us -> Canary.has_canaries (Simc.netlist us)
       | None -> false
     in
     let poll_canaries () =
@@ -339,7 +328,7 @@ module Monitor = struct
       match target_unit_sim () with
       | None -> None
       | Some us ->
-        let mask = Bitvec.to_int (Machine.unit_sim_output us Canary.trip_port) in
+        let mask = Bitvec.to_int (Simc.output us ~lane:0 Canary.trip_port) in
         if mask = 0 then None
         else begin
           Telemetry.Counter.incr tele_trips;

@@ -39,7 +39,6 @@ module Injector : sig
   type t
 
   val create :
-    ?engine:Machine.unit_engine ->
     machine:Machine.t ->
     slot:slot ->
     spec:Fault.spec ->
@@ -54,10 +53,7 @@ module Injector : sig
       statically vetted before it can ever be armed: with its fault lines
       tied inactive ({!Fault.select_cells}, plus the canary arm cell when
       present) it must be CEC-equivalent to the golden netlist
-      ({!Cec.check}), proving the instrumentation is inert while dormant.  [engine] selects the simulator the replica
-      runs on; it defaults to the engine of the unit being replaced, so a
-      machine built with [~unit_engine:Compiled_unit] gets a compiled
-      faulty replica with no further plumbing.
+      ({!Cec.check}), proving the instrumentation is inert while dormant.
       @raise Invalid_argument if the targeted unit runs on a functional
       backend (there is no netlist to instrument), or if the replica fails
       the equivalence gate. *)

@@ -551,7 +551,9 @@ let suite_program ?order suite =
    through [Machine]) stays the reference semantics: it additionally sees
    pipeline bubbles between units and branch-comparison corruption, so
    the paper-facing tables keep using it, while this path makes
-   large-scale detection sweeps (random baselines, fuzz triage) cheap. *)
+   large-scale detection sweeps (random baselines, fuzz triage) cheap.
+   It runs on Sim64, not Simc: each sweep builds a simulator for a fresh
+   faulty netlist and runs it a few cycles, so compile cost dominates. *)
 
 let lane_word nlanes get_bit =
   let w = ref 0 in
@@ -571,41 +573,13 @@ let port_width ~input nl name =
   let p = if input then Netlist.find_input nl name else Netlist.find_output nl name in
   Array.length p.Netlist.port_nets
 
-(* The simulation backend of a sweep.  A plain variant (rather than a
-   first-class module at the API boundary) so configuration records that
-   carry it — e.g. the resilience supervisor's ladder — stay structurally
-   comparable and serializable.  All three engines drive the same port
-   protocol; [Engine_sim64] and [Engine_simc] consume the RNG stream
-   identically (same lane count, same draw order), so their verdicts are
-   bit-identical even for [C_random] faults.  [Engine_scalar] re-batches
-   one case per sweep and so draws the RNG differently; it exists as the
-   slow reference. *)
-type engine = Engine_scalar | Engine_sim64 | Engine_simc
-
-let engine_name = function
-  | Engine_scalar -> "scalar"
-  | Engine_sim64 -> "sim64"
-  | Engine_simc -> "simc"
-
-let engine_of_name = function
-  | "scalar" -> Some Engine_scalar
-  | "sim64" -> Some Engine_sim64
-  | "simc" -> Some Engine_simc
-  | _ -> None
-
-let word_engine : engine -> (module Sim_intf.WORD) = function
-  | Engine_scalar -> (module Sim.Word)
-  | Engine_sim64 -> (module Sim64)
-  | Engine_simc -> (module Simc)
-
 (* Streaming protocol shared with [Machine]: inputs of operation [s] are
    driven before edge [s]; the input rank captures them at edge [s]; the
    result rank captures at edge [s + 1]; so operation [s]'s result is read
    after edge [s + 1] (the unit's latency of 2). *)
-let alu_detect_batch (type s) (module E : Sim_intf.WORD with type t = s) rng nl
-    (cases : alu_step array array) =
+let alu_detect_batch rng nl (cases : alu_step array array) =
   let nlanes = Array.length cases in
-  let s64 = E.create nl in
+  let s64 = Sim64.create nl in
   let op_w = port_width ~input:true nl Alu.op_port in
   let data_w = port_width ~input:true nl Alu.a_port in
   let r_nets = (Netlist.find_output nl Alu.r_port).Netlist.port_nets in
@@ -617,15 +591,15 @@ let alu_detect_batch (type s) (module E : Sim_intf.WORD with type t = s) rng nl
   let detected = ref 0 in
   for t = 0 to maxlen do
     if t < maxlen then begin
-      E.set_input_words s64 Alu.op_port
+      Sim64.set_input_words s64 Alu.op_port
         (port_lane_words op_w nlanes (fun l -> step_val l t (fun st -> Alu.op_code st.a_op)));
-      E.set_input_words s64 Alu.a_port
+      Sim64.set_input_words s64 Alu.a_port
         (port_lane_words data_w nlanes (fun l -> step_val l t (fun st -> st.a_lhs)));
-      E.set_input_words s64 Alu.b_port
+      Sim64.set_input_words s64 Alu.b_port
         (port_lane_words data_w nlanes (fun l -> step_val l t (fun st -> st.a_rhs)))
     end;
-    if drive_fault then E.set_input_words s64 Fault.random_port [| Sim64.random_word rng |];
-    E.step s64;
+    if drive_fault then Sim64.set_input_words s64 Fault.random_port [| Sim64.random_word rng |];
+    Sim64.step s64;
     let s = t - 1 in
     if s >= 0 then begin
       let retire = lane_word nlanes (fun l -> s < len l) in
@@ -637,7 +611,7 @@ let alu_detect_batch (type s) (module E : Sim_intf.WORD with type t = s) rng nl
               lane_word nlanes (fun l ->
                   s < len l && step_val l s (fun st -> (st.a_expected lsr bit) land 1) = 1)
             in
-            mism := !mism lor (E.net_word s64 n lxor expected))
+            mism := !mism lor (Sim64.net_word s64 n lxor expected))
           r_nets;
         detected := !detected lor (!mism land retire)
       end
@@ -645,10 +619,9 @@ let alu_detect_batch (type s) (module E : Sim_intf.WORD with type t = s) rng nl
   done;
   !detected
 
-let fpu_detect_batch (type s) (module E : Sim_intf.WORD with type t = s) rng nl
-    (cases : (fpu_step array * bool) array) =
+let fpu_detect_batch rng nl (cases : (fpu_step array * bool) array) =
   let nlanes = Array.length cases in
-  let s64 = E.create nl in
+  let s64 = Sim64.create nl in
   let op_w = port_width ~input:true nl Fpu.op_port in
   let data_w = port_width ~input:true nl Fpu.a_port in
   let r_nets = (Netlist.find_output nl Fpu.r_port).Netlist.port_nets in
@@ -663,23 +636,23 @@ let fpu_detect_batch (type s) (module E : Sim_intf.WORD with type t = s) rng nl
   let sticky = Array.map (fun _ -> 0) fl_nets in
   for t = 0 to maxlen do
     if t < maxlen then begin
-      E.set_input_words s64 Fpu.op_port
+      Sim64.set_input_words s64 Fpu.op_port
         (port_lane_words op_w nlanes (fun l ->
              step_val l t (fun st -> Fpu_format.op_code st.f_op)));
-      E.set_input_words s64 Fpu.a_port
+      Sim64.set_input_words s64 Fpu.a_port
         (port_lane_words data_w nlanes (fun l -> step_val l t (fun st -> st.f_lhs)));
-      E.set_input_words s64 Fpu.b_port
+      Sim64.set_input_words s64 Fpu.b_port
         (port_lane_words data_w nlanes (fun l -> step_val l t (fun st -> st.f_rhs)));
-      E.set_input_words s64 Fpu.in_valid_port [| lane_word nlanes (fun l -> t < len l) |]
+      Sim64.set_input_words s64 Fpu.in_valid_port [| lane_word nlanes (fun l -> t < len l) |]
     end
-    else E.set_input_words s64 Fpu.in_valid_port [| 0 |];
-    if drive_fault then E.set_input_words s64 Fault.random_port [| Sim64.random_word rng |];
-    E.step s64;
+    else Sim64.set_input_words s64 Fpu.in_valid_port [| 0 |];
+    if drive_fault then Sim64.set_input_words s64 Fault.random_port [| Sim64.random_word rng |];
+    Sim64.step s64;
     let s = t - 1 in
     if s >= 0 then begin
       let retire = lane_word nlanes (fun l -> s < len l) in
       if retire <> 0 then begin
-        let valid = E.net_word s64 v_net in
+        let valid = Sim64.net_word s64 v_net in
         (* a missing handshake token is a stall the machine's watchdog
            would catch *)
         detected := !detected lor (lnot valid land retire);
@@ -691,11 +664,11 @@ let fpu_detect_batch (type s) (module E : Sim_intf.WORD with type t = s) rng nl
               lane_word nlanes (fun l ->
                   s < len l && step_val l s (fun st -> (st.f_expected lsr bit) land 1) = 1)
             in
-            mism := !mism lor (E.net_word s64 n lxor expected))
+            mism := !mism lor (Sim64.net_word s64 n lxor expected))
           r_nets;
         detected := !detected lor (!mism land ok);
         Array.iteri
-          (fun bit n -> sticky.(bit) <- sticky.(bit) lor (E.net_word s64 n land retire))
+          (fun bit n -> sticky.(bit) <- sticky.(bit) lor (Sim64.net_word s64 n land retire))
           fl_nets
       end
     end
@@ -714,8 +687,7 @@ let fpu_detect_batch (type s) (module E : Sim_intf.WORD with type t = s) rng nl
   end;
   !detected
 
-let detected_cases ?(seed = 0xde7ec7) ?(engine = Engine_sim64) suite nl =
-  let (module E : Sim_intf.WORD) = word_engine engine in
+let detected_cases ?(seed = 0xde7ec7) suite nl =
   let rng = Random.State.make [| seed |] in
   let cases = Array.of_list suite.suite_cases in
   let ncases = Array.length cases in
@@ -725,13 +697,13 @@ let detected_cases ?(seed = 0xde7ec7) ?(engine = Engine_sim64) suite nl =
     let word =
       match suite.suite_target with
       | Alu_module _ ->
-        alu_detect_batch (module E) rng nl
+        alu_detect_batch rng nl
           (Array.init nlanes (fun i ->
                match cases.(lo + i).tc_body with
                | Alu_test l -> Array.of_list l
                | Fpu_test _ -> invalid_arg "Lift.detected_cases: FPU case in an ALU suite"))
       | Fpu_module _ ->
-        fpu_detect_batch (module E) rng nl
+        fpu_detect_batch rng nl
           (Array.init nlanes (fun i ->
                match cases.(lo + i).tc_body with
                | Fpu_test l -> (Array.of_list l, cases.(lo + i).tc_checks_flags)
@@ -743,19 +715,18 @@ let detected_cases ?(seed = 0xde7ec7) ?(engine = Engine_sim64) suite nl =
   in
   let rec go lo =
     if lo < ncases then begin
-      batch lo (min ncases (lo + E.lanes));
-      go (lo + E.lanes)
+      batch lo (min ncases (lo + Sim64.lanes));
+      go (lo + Sim64.lanes)
     end
   in
   go 0;
   Array.sub out 0 ncases
 
-let detects ?seed ?engine suite nl =
-  Array.exists Fun.id (detected_cases ?seed ?engine suite nl)
+let detects ?seed suite nl = Array.exists Fun.id (detected_cases ?seed suite nl)
 
-let detection_rate ?seed ?engine suite nls =
+let detection_rate ?seed suite nls =
   match nls with
   | [] -> invalid_arg "Lift.detection_rate: no netlists to evaluate"
   | _ ->
-    let det = List.length (List.filter (fun nl -> detects ?seed ?engine suite nl) nls) in
+    let det = List.length (List.filter (fun nl -> detects ?seed suite nl) nls) in
     float_of_int det /. float_of_int (List.length nls)

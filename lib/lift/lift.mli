@@ -202,26 +202,11 @@ val suite_instrs : ?order:int list -> ?label_prefix:string -> fail_label:string 
     corruption); this path is for large detection sweeps such as the
     random-suite baselines.
 
-    The backend is selectable: the interpreted word-parallel {!Sim64}
-    (default), the compiled {!Simc}, or the scalar reference {!Sim}
-    through its [Word] adapter.  [Engine_sim64] and [Engine_simc] consume
-    the fault RNG identically and give bit-identical verdicts;
-    [Engine_scalar] batches one case at a time, so its verdicts on
-    [C_random] faults may differ (it is the slow reference, not a
-    production path). *)
+    Sweeps run on {!Sim64}: every sweep builds a simulator for a fresh
+    faulty netlist and runs it for a few cycles, so the cheap compile
+    matters more than {!Simc}'s faster dispatch. *)
 
-type engine = Engine_scalar | Engine_sim64 | Engine_simc
-
-val engine_name : engine -> string
-(** ["scalar"], ["sim64"] or ["simc"] — stable names for CLI flags and
-    checkpoint digests. *)
-
-val engine_of_name : string -> engine option
-
-val word_engine : engine -> (module Sim_intf.WORD)
-(** The first-class engine module behind a selector. *)
-
-val detected_cases : ?seed:int -> ?engine:engine -> suite -> Netlist.t -> bool array
+val detected_cases : ?seed:int -> suite -> Netlist.t -> bool array
 (** Per-case detection verdicts against [netlist] (typically a
     {!Fault.failing_netlist} of the suite's target).  [seed] drives the
     {!Fault.random_port} input when the netlist has one ([C_random]
@@ -229,9 +214,9 @@ val detected_cases : ?seed:int -> ?engine:engine -> suite -> Netlist.t -> bool a
     @raise Invalid_argument if a case's body does not match the suite
     target or the netlist lacks the target's ports. *)
 
-val detects : ?seed:int -> ?engine:engine -> suite -> Netlist.t -> bool
+val detects : ?seed:int -> suite -> Netlist.t -> bool
 (** Whether any case of the suite detects the fault. *)
 
-val detection_rate : ?seed:int -> ?engine:engine -> suite -> Netlist.t list -> float
+val detection_rate : ?seed:int -> suite -> Netlist.t list -> float
 (** Fraction of the given failing netlists detected by the suite.
     @raise Invalid_argument on an empty list. *)

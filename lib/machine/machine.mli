@@ -5,8 +5,9 @@
     - *functional* backends compute with the golden models ({!Alu.golden},
       {!Softfloat}) — the reference CPU;
     - *netlist* backends drive gate-level netlists (healthy or
-      fault-instrumented) through the {!Sim} simulator, exactly as the
-      paper swaps the placed-and-routed ALU/FPU into the Verilator model.
+      fault-instrumented) through the compiled {!Simc} simulator, exactly
+      as the paper swaps the placed-and-routed ALU/FPU into the Verilator
+      model.
 
     Netlist units are modeled as genuine 2-stage pipelines with interlocks:
     issuing an operation steps the netlist once (retiring the previous
@@ -23,32 +24,12 @@
 type alu_backend = Alu_functional | Alu_netlist of Netlist.t
 type fpu_backend = Fpu_functional | Fpu_netlist of Netlist.t
 
-(** Which gate-level simulator executes a netlist unit.
-
-    [Scalar_unit] interprets the netlist through {!Sim} (the reference
-    engine); [Compiled_unit] runs it on the compiled {!Simc} engine, which
-    drives the same stimulus on every lane, reads lane 0, and pins the
-    profile mask to lane 0 — observationally identical to a scalar unit
-    (same values, same SP/toggle statistics), but with the compiled
-    dispatch loop underneath. *)
-type unit_engine = Scalar_unit | Compiled_unit
-
-(** A unit's gate-level simulator, tagged by engine. *)
-type unit_sim = Scalar_sim of Sim.t | Compiled_sim of Simc.t
-
-val make_unit_sim : ?profile:bool -> unit_engine -> Netlist.t -> unit_sim
-(** Build a unit simulator on the given engine (compiled simulators get
-    their profile mask pinned to lane 0, see {!unit_engine}).  This is the
-    constructor the runtime guard uses to build fault-instrumented
-    replicas on the same engine as the unit they replace. *)
-
-val unit_sim_netlist : unit_sim -> Netlist.t
-
-val unit_sim_output : unit_sim -> string -> Bitvec.t
-(** Read an output port of the unit's netlist in its current state,
-    whichever engine runs it (lane 0 for compiled units).  This is how the
-    runtime guard polls a monitored unit's [canary_trip] port without
-    caring which simulator is installed. *)
+val make_unit_sim : ?profile:bool -> Netlist.t -> Simc.t
+(** The simulator behind a netlist unit.  A unit drives the same stimulus
+    on every lane, reads lane 0 and pins its profile mask to lane 0, so it
+    is observationally a scalar {!Sim}: same values, and with [profile]
+    (default false) the same SP/toggle counters.  The runtime guard builds
+    its fault-instrumented replicas with this. *)
 
 type config = {
   width : int;  (** integer register width; must match the ALU netlist *)
@@ -79,7 +60,6 @@ type t
 
 val create :
   ?config:config ->
-  ?unit_engine:unit_engine ->
   ?profile_units:bool ->
   ?on_alu_op:(Alu.op -> Bitvec.t -> Bitvec.t -> unit) ->
   ?on_fpu_op:(Fpu_format.op -> Bitvec.t -> Bitvec.t -> unit) ->
@@ -88,18 +68,15 @@ val create :
   unit ->
   t
 (** @raise Invalid_argument if a netlist backend's ports do not match the
-    configured width/format.  [unit_engine] (default [Scalar_unit])
-    selects the simulator behind every netlist backend.  With
-    [profile_units], netlist units carry signal-probability counters (see
-    {!alu_sim}/{!fpu_sim}) — the Signal Probability Simulation hookup of
-    phase one.
+    configured width/format.  With [profile_units], netlist units carry
+    signal-probability counters (see {!alu_sim}/{!fpu_sim}) — the Signal
+    Probability Simulation hookup of phase one.
 
     [on_alu_op]/[on_fpu_op] observe every operation entering the
     corresponding unit — including the branch comparisons the machine
     routes through the ALU — regardless of backend.  They let a functional
     run record the exact unit operation stream that a netlist-backed run
-    would execute, which is how {!Vega}'s batched SP profiling replays a
-    workload onto the word-parallel simulator. *)
+    would execute ({!Vega.recorded_unit_ops}). *)
 
 val config : t -> config
 
@@ -141,23 +118,11 @@ val fflags : t -> Fpu_format.flags
 val mem : t -> int -> Bitvec.t
 val set_mem : t -> int -> Bitvec.t -> unit
 
-val alu_sim : t -> Sim.t option
-(** The scalar simulator behind a netlist ALU backend (for SP profiling);
-    [None] for the functional backend {e and} for a [Compiled_unit]
-    backend (use {!alu_unit_sim} to reach either engine). *)
+val alu_sim : t -> Simc.t option
+(** The simulator behind a netlist ALU backend (for SP profiling, canary
+    polling and replica swaps); [None] for the functional backend. *)
 
-val fpu_sim : t -> Sim.t option
-
-val alu_unit_sim : t -> unit_sim option
-(** The unit simulator behind the ALU backend, whichever engine runs it;
-    [None] for the functional backend. *)
-
-val fpu_unit_sim : t -> unit_sim option
-
-val alu_netlist : t -> Netlist.t option
-(** The netlist behind the ALU backend, independent of engine. *)
-
-val fpu_netlist : t -> Netlist.t option
+val fpu_sim : t -> Simc.t option
 
 val alu_functional : t -> bool
 (** Whether the ALU currently runs on the functional golden backend. *)
@@ -189,24 +154,15 @@ val run_slice :
     a unit between a golden and a fault-instrumented replica while the
     application is running. *)
 
-val swap_alu_unit : t -> unit_sim option -> unit_sim option
+val swap_alu_unit : t -> Simc.t option -> Simc.t option
 (** [swap_alu_unit t sim] installs [sim] as the ALU backend ([None] =
     functional golden backend) and returns the displaced simulator with its
-    state intact, so it can be re-installed later without a fresh
-    construction (or recompile).  The in-flight operation is drained first
-    (which may raise [Stall_detected]), keeping the architectural state
-    consistent.
+    state intact, so it can be re-installed later without a recompile.
+    The in-flight operation is drained first (which may raise
+    [Stall_detected]), keeping the architectural state consistent.
     @raise Invalid_argument if the new netlist's width does not match. *)
 
-val swap_fpu_unit : t -> unit_sim option -> unit_sim option
-
-val swap_alu_sim : t -> Sim.t option -> Sim.t option
-(** Scalar-typed wrapper over {!swap_alu_unit}: the installed simulator is
-    wrapped as [Scalar_sim]; a displaced [Compiled_sim] surfaces as [None]
-    (its state is dropped from the caller's view — use {!swap_alu_unit} to
-    round-trip compiled units). *)
-
-val swap_fpu_sim : t -> Sim.t option -> Sim.t option
+val swap_fpu_unit : t -> Simc.t option -> Simc.t option
 
 (** {1 Architectural snapshots}
 

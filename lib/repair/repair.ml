@@ -720,12 +720,7 @@ let committed_to_json c =
 (* ------------------------------------------------------------------ *)
 (* 64-lane random differential (approximate-edit bound)                *)
 
-let lane_mask =
-  if Sim64.lanes >= Sys.int_size then -1 else (1 lsl Sim64.lanes) - 1
-
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
-  go x 0
+let lane_mask = Sim64.all_lanes
 
 let rand_word rng =
   (Random.State.bits rng
@@ -751,14 +746,14 @@ let error_rate ~seed ~cycles ref_nl cand_nl =
         Sim64.set_input_words sa p.Netlist.port_name words;
         Sim64.set_input_words sb p.Netlist.port_name words)
       ins;
-    Sim64.step ~sample:false sa;
-    Sim64.step ~sample:false sb;
+    Sim64.step sa;
+    Sim64.step sb;
     List.iter
       (fun name ->
         let wa = Sim64.output_words sa name and wb = Sim64.output_words sb name in
         Array.iteri
           (fun i w ->
-            mism := !mism + popcount ((w lxor wb.(i)) land lane_mask);
+            mism := !mism + Sim64.popcount ((w lxor wb.(i)) land lane_mask);
             total := !total + Sim64.lanes)
           wa)
       outs

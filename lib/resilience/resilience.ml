@@ -266,11 +266,10 @@ type ladder = {
   ld_suites : int;
   ld_cases : int;
   ld_seed : int;
-  ld_engine : Lift.engine;
 }
 
 let default_ladder =
-  { ld_fallback = true; ld_suites = 4; ld_cases = 32; ld_seed = 0; ld_engine = Lift.Engine_sim64 }
+  { ld_fallback = true; ld_suites = 4; ld_cases = 32; ld_seed = 0 }
 
 type supervisor = {
   sv_budget_conflicts : int;
@@ -654,7 +653,7 @@ let supervised_lift ?(config = Lift.default_config) ?supervisor ?checkpoint
                   | Lift.Fpu_module { fmt } ->
                     Testgen.random_fpu_suite ~seed ~fmt ~cases:ladder.ld_cases ()
                 in
-                let verdicts = Lift.detected_cases ~seed ~engine:ladder.ld_engine suite faulty in
+                let verdicts = Lift.detected_cases ~seed suite faulty in
                 match List.filteri (fun i _ -> verdicts.(i)) suite.Lift.suite_cases with
                 | [] -> attempt (a + 1)
                 | hits ->

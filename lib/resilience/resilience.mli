@@ -132,7 +132,6 @@ type ladder = {
   ld_suites : int;  (** random suites tried per timed-out variant *)
   ld_cases : int;  (** cases per suite (size-match of the Table-7 baseline) *)
   ld_seed : int;  (** base seed; per-item seeds derive deterministically *)
-  ld_engine : Lift.engine;  (** simulation backend for the detection sweeps *)
 }
 
 val default_ladder : ladder

@@ -32,7 +32,7 @@ val analyze : Cell.Library.t -> Sim.t -> clock_mhz:float -> report
 val analyze_engine :
   (module Sim_intf.S with type t = 's) -> Cell.Library.t -> 's -> clock_mhz:float -> report
 (** Engine-generic {!analyze}: works over any simulator satisfying the
-    shared engine signature, e.g. a {!Sim64.Lane} view, whose profile
+    shared engine signature, e.g. a {!Simc.Lane} view, whose profile
     queries aggregate over all lanes of a parallel-pattern run. *)
 
 val render : report -> string

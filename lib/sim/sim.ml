@@ -201,50 +201,3 @@ let run_random ?(seed = 0x5eed) t ~cycles =
       ports;
     step t
   done
-
-(* A lanes=1 compatibility adapter satisfying the word-parallel engine
-   signature, so batch consumers can select the scalar reference
-   simulator through the same first-class module as Sim64/Simc.  The
-   "word" of a net is its single bit; bit 0 of the active mask gates
-   profile sampling (a masked-out cycle is simply not sampled). *)
-module Word = struct
-  type sim = t
-  type t = { s : sim; mutable active : bool }
-
-  let lanes = 1
-
-  let create ?profile netlist = { s = create ?profile netlist; active = true }
-
-  let netlist w = netlist w.s
-
-  let reset w =
-    reset w.s;
-    w.active <- true
-
-  let set_input_words w port words =
-    let p = Netlist.find_input (netlist w) port in
-    let width = Array.length p.Netlist.port_nets in
-    if Array.length words <> width then
-      invalid_arg
-        (Printf.sprintf "Sim.Word.set_input_words: port %s has width %d, got %d words" port
-           width (Array.length words));
-    let v = ref (Bitvec.zero width) in
-    Array.iteri (fun i word -> if word land 1 = 1 then v := Bitvec.set_bit !v i true) words;
-    set_input w.s port !v
-
-  let set_active_mask w m = w.active <- m land 1 = 1
-
-  let settle w = settle w.s
-
-  let step ?(sample = true) w = step ~sample:(sample && w.active) w.s
-
-  let net_word w n = if net w.s n then 1 else 0
-
-  let output_words w port =
-    let p = Netlist.find_output (netlist w) port in
-    Array.map (fun n -> if net w.s n then 1 else 0) p.Netlist.port_nets
-
-  let sp w n = sp w.s n
-  let toggle_rate w n = toggle_rate w.s n
-  let samples w = samples w.s
-end

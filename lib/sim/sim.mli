@@ -2,10 +2,10 @@
 
     The simulator evaluates a {!Netlist.t} one clock cycle at a time:
     combinational cells settle in topological order, then the clock edge
-    samples every DFF's [D] pin.  This is the Verilator substitute used for
-    signal-probability profiling (phase 1), for validating generated test
-    cases against failing netlists (Section 5.2.3), and as the netlist
-    backend of the instruction-set simulator.
+    samples every DFF's [D] pin.  It is the reference model: the
+    differential tests check {!Sim64} and {!Simc} against it, and formal
+    counterexample traces replay on it.  Production runs use {!Simc}
+    (machine units, SP profiles) and {!Sim64} (detection sweeps).
 
     Signal-probability counters can be attached to every cell output — the
     instrumentation of Section 3.2.1.  The counters are sampled once per
@@ -111,12 +111,3 @@ val run :
 val run_random : ?seed:int -> t -> cycles:int -> unit
 (** Drive all primary inputs with uniform random values for [cycles]
     cycles. *)
-
-(** {1 Word-engine adapter} *)
-
-module Word : Sim_intf.WORD
-(** A lanes=1 view of the scalar simulator satisfying the word-parallel
-    engine signature, so batch consumers ({!Lift.detected_cases},
-    {!Vega.aging_analysis}) can select the reference simulator through
-    the same first-class module as {!Sim64} and {!Simc}.  Bit 0 of every
-    word is the value; bit 0 of the active mask gates sampling. *)

@@ -1,5 +1,5 @@
 (** The engine signature shared by the scalar reference simulator ({!Sim})
-    and the per-lane view of the word-parallel simulator ({!Sim64.Lane}).
+    and the per-lane view of the compiled simulator ({!Simc.Lane}).
 
     Engine-generic consumers — {!Vcd.of_engine_run}, {!Power.analyze_engine} —
     take a first-class [(module S with type t = 'a)] witness, so any engine
@@ -42,43 +42,5 @@ module type S = sig
   val toggle_rate : t -> Netlist.net -> float
   (** Transitions per sampled slot of the net, in [[0, 1]]. *)
 
-  val samples : t -> int
-end
-
-(** The word-parallel engine signature shared by {!Sim64} (interpreted),
-    {!Simc} (compiled) and the scalar compatibility adapter {!Sim.Word}.
-
-    Batch consumers — {!Lift.detected_cases}, {!Vega.aging_analysis} — take a
-    first-class [(module WORD with type t = 'a)] witness so the simulation
-    backend is selectable per call without functorising the pipeline.  All
-    lane/word conventions follow {!Sim64}: bit [k] of a word is lane [k],
-    [lanes] bits per word, and the active mask restricts profile sampling. *)
-module type WORD = sig
-  type t
-
-  val lanes : int
-  val create : ?profile:bool -> Netlist.t -> t
-  val netlist : t -> Netlist.t
-  val reset : t -> unit
-
-  val set_input_words : t -> string -> int array -> unit
-  (** Drive a port with one word per port bit (element [i] = net words of
-      port bit [i]).  Width must match the port.
-      @raise Invalid_argument otherwise. *)
-
-  val set_active_mask : t -> int -> unit
-  (** Restrict profile sampling to the lanes set in the mask. *)
-
-  val settle : t -> unit
-  val step : ?sample:bool -> t -> unit
-
-  val net_word : t -> Netlist.net -> int
-  (** Current word of a net: bit [k] is the net's value in lane [k]. *)
-
-  val output_words : t -> string -> int array
-  (** One word per output-port bit, LSB first. *)
-
-  val sp : t -> Netlist.net -> float
-  val toggle_rate : t -> Netlist.net -> float
   val samples : t -> int
 end

@@ -2,15 +2,15 @@
 
     [Simc] is the compiled sibling of {!Sim64}: identical lane conventions
     (bit [k] of every word is simulation lane [k], {!lanes} lanes per
-    word), identical observable semantics, but the netlist is translated
+    word), identical observable values, but the netlist is translated
     once at construction into a flat superop program — one contiguous
     [int array] of (opcode, dst, src0, src1) quadruples over a
     preallocated word-per-net state array — executed by a tight
     threaded-dispatch loop with no graph traversal and zero per-cycle
     allocation.  Registers commit through a double-buffered swap.
 
-    Construction levelizes the combinational cells into topological ranks
-    (rejecting combinational cycles with a readable error), drops logic
+    Construction ranks the combinational cells by topological level in
+    one pass over {!Netlist.topo_order}, drops logic
     outside the fanin cone of the output ports and register D pins,
     collapses Buf/Not/Tie cells into read descriptors, and absorbs operand
     inversions into complementing opcodes.  Eliminated nets remain
@@ -23,23 +23,16 @@
     where {!Sim64.step} settles twice.
 
     With [~profile:true] the compiler is conservative (every cell emitted,
-    no aliasing or elimination), making the SP/toggle counters
-    byte-identical to {!Sim64}'s. *)
+    no aliasing or elimination), so the SP/toggle counters observe every
+    net: lane [k]'s counts equal those of a scalar {!Sim} fed lane [k]'s
+    stimulus.  This is the engine behind every machine unit and every SP
+    profile. *)
 
 val lanes : int
 (** Number of parallel simulation lanes per word ([= Sim64.lanes]). *)
 
 val all_lanes : int
 (** Word with every lane bit set. *)
-
-(** {1 Levelization} *)
-
-val levelize : Netlist.Raw.t -> (int array, string) result
-(** Topological rank of every cell of a raw design: DFFs rank 0, each
-    combinational cell 1 + the maximum rank of the combinational cells
-    driving its inputs.  Deterministic.  [Error msg] names the cells on a
-    combinational cycle (frozen {!Netlist.t} values are acyclic by
-    construction, so this can only trip on hand-built raw designs). *)
 
 (** {1 Construction} *)
 
@@ -48,8 +41,7 @@ type t
 val create : ?profile:bool -> Netlist.t -> t
 (** Compile the netlist and return a fresh simulator in the reset state.
     With [profile] (default false), SP counters are attached to every net
-    and the compile is conservative so the counters match {!Sim64}'s
-    exactly. *)
+    and the compile is conservative so the counters cover every net. *)
 
 val netlist : t -> Netlist.t
 
@@ -106,7 +98,10 @@ val peek_cell_word : t -> string -> int
 
 (** {1 Signal-probability profiling}
 
-    Aggregated over all active lanes, exactly as {!Sim64}. *)
+    Aggregated over all active lanes: {!samples} counts (lane, cycle)
+    observations and {!sp} is ones over that total.  A unit pinned to lane
+    0 (the machine's units) therefore reports exactly a scalar {!Sim}'s
+    profile. *)
 
 val sp : t -> Netlist.net -> float
 val sp_of_cell : t -> string -> float
@@ -130,12 +125,15 @@ val restore : t -> snapshot -> unit
 
 val run_random : ?seed:int -> t -> cycles:int -> unit
 (** Drive every primary input with independent random words for [cycles]
-    cycles (same stream as {!Sim64.run_random}). *)
+    cycles. *)
 
 (** {1 The single-lane engine view} *)
 
 module Lane : Sim_intf.S
-(** One lane of a [Simc], satisfying the shared engine signature (see
-    {!Sim64.Lane} for the clock/profile sharing rules). *)
+(** One lane of a [Simc], satisfying the shared engine signature, so
+    engine-generic consumers ({!Vcd.of_engine_run}, {!Power.analyze_engine})
+    can drive it.  Inputs and reads touch only the viewed lane; clocking
+    and reset act on the whole engine; profile queries report the
+    aggregate over the active lanes. *)
 
 val lane_view : t -> int -> Lane.t

@@ -55,5 +55,5 @@ val of_engine_run :
   stimulus:(int -> (string * Bitvec.t) list) ->
   string
 (** Engine-generic {!of_sim_run}: same dump over any engine satisfying the
-    shared signature — e.g. [(module Sim64.Lane)] with a {!Sim64.lane_view}
+    shared signature — e.g. [(module Simc.Lane)] with a {!Simc.lane_view}
     to dump one lane of a parallel-pattern run. *)

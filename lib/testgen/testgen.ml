@@ -95,13 +95,13 @@ let random_unit_ops ?(seed = 0xa77ac) ~len (kind : Lift.module_kind) =
   let rng = Random.State.make [| seed |] in
   Array.init len (fun _ -> random_unit_op rng kind)
 
-let random_baseline_detection ?(seed = 0x7ab1e) ?engine ~runs (suite : Lift.suite) faulty =
+let random_baseline_detection ?(seed = 0x7ab1e) ~runs (suite : Lift.suite) faulty =
   if runs <= 0 then invalid_arg "Testgen.random_baseline_detection: runs must be positive";
   let detected = ref 0 in
   for run = 0 to runs - 1 do
     (* distinct deterministic seed per run, derived from the base seed *)
     let s = matched_suite ~seed:(seed + (run * 7919)) suite in
-    if Lift.detects ~seed:(seed lxor run) ?engine s faulty then incr detected
+    if Lift.detects ~seed:(seed lxor run) s faulty then incr detected
   done;
   float_of_int !detected /. float_of_int runs
 

@@ -40,10 +40,10 @@ val random_unit_ops :
     starts from and mutates.  @raise Invalid_argument if [len < 0]. *)
 
 val random_baseline_detection :
-  ?seed:int -> ?engine:Lift.engine -> runs:int -> Lift.suite -> Netlist.t -> float
+  ?seed:int -> runs:int -> Lift.suite -> Netlist.t -> float
 (** Table-7-style baseline on the word-parallel fast path: the fraction of
     [runs] size-matched random suites (seeds derived deterministically
     from [seed]) that detect the fault in [faulty], evaluated at netlist
     level via {!Lift.detects} — no machine in the loop, so wide sweeps are
-    cheap.  [engine] selects the simulation backend (default {!Lift.Engine_sim64}).
+    cheap.
     @raise Invalid_argument if [runs <= 0]. *)

@@ -53,31 +53,7 @@ type analysis = {
           {!lifting_items}/{!error_lifting}. *)
 }
 
-(** How phase one collects the SP profile.
-
-    [Scalar_profile] (the reference): run the workload on a machine whose
-    analyzed unit is the profiled scalar netlist simulator — the profile
-    sees every unit cycle, including inter-unit bubbles and drains.
-
-    [Batched_profile] (the fast path): record the unit's operation stream
-    from a purely functional run, then replay it split across
-    [Sim64.lanes] lanes of the word-parallel simulator, each lane warmed
-    up for the unit's pipeline latency.  Ones-counts are exact w.r.t. a
-    sequential back-to-back replay of the same stream; pacing effects
-    (bubbles between unit operations) are deliberately not modeled, and
-    toggle counts lose the few transitions that straddle lane-chunk
-    boundaries.
-
-    [Compiled_profile] is [Batched_profile] on the compiled {!Simc}
-    engine: the same recorded stream, lane split and warm-up, but the
-    netlist is compiled to a superop program first.  Counters (and hence
-    the analysis) are bit-identical to [Batched_profile] — Simc's
-    profiling mode compiles conservatively for exactly this reason — with
-    the compile cost amortized over the replay. *)
-type profile_engine = Scalar_profile | Batched_profile | Compiled_profile
-
 val aging_analysis :
-  ?engine:profile_engine ->
   ?config:phase1_config ->
   ?static_prune:bool ->
   Lift.target ->
@@ -85,7 +61,10 @@ val aging_analysis :
   analysis
 (** Phase one.  [workload] drives a machine whose analyzed unit is the
     profiled gate-level netlist (e.g. run the minver kernel); the machine's
-    other unit is functional.  [engine] defaults to [Scalar_profile].
+    other unit is functional.  The profile is read from that unit's
+    {!Simc} simulator, pinned to lane 0, so it sees every unit cycle
+    (inter-unit bubbles and drains included) exactly as a scalar {!Sim}
+    would.
     The target netlist is linted first ({!Check.lint_netlist});
     @raise Invalid_argument with the rendered report if it carries
     error-class defects.
@@ -102,24 +81,21 @@ val recorded_unit_ops :
   Lift.target -> workload:(Machine.t -> unit) -> (string * Bitvec.t) list array
 (** The per-operation input assignments the workload feeds the target unit
     (one entry per operation, in program order), recorded from a functional
-    run via the machine's operation hooks — the stream [Batched_profile]
-    replays.  Exposed for differential testing and custom sweeps. *)
-
-val replay_unit_ops : Lift.target -> (string * Bitvec.t) list array -> Sim64.t option
-(** Replay a recorded operation stream onto the target netlist across the
-    word-parallel simulator's lanes, profiled; [None] on an empty
-    stream. *)
+    run via the machine's operation hooks — the stream {!replay_sp}
+    consumes.  Exposed for differential testing and custom sweeps. *)
 
 val replay_sp :
-  ?engine:profile_engine ->
   Lift.target ->
   (string * Bitvec.t) list array ->
   (int * (Netlist.net -> float)) option
 (** Replay an operation stream (recorded by {!recorded_unit_ops} or
-    synthesized, e.g. by the adversarial stress search) on the selected
-    word engine (default [Compiled_profile]) and return [(samples, sp)] —
-    the per-net signal probability the stream induces.  [None] on an empty
-    stream.  Deterministic: same stream, same engine, same profile. *)
+    synthesized, e.g. by the adversarial stress search) into the target
+    netlist and return [(samples, sp)] — the per-net signal probability
+    the stream induces.  The stream is split across {!Simc}'s lanes, each
+    lane warmed up for the unit's pipeline latency, so ones-counts are
+    exact w.r.t. a sequential back-to-back replay; bubbles between unit
+    operations are not modeled.  [None] on an empty stream.
+    Deterministic: same stream, same profile. *)
 
 val run_minver_workload : Machine.t -> unit
 (** The default representative workload: the minver-style kernel is not
@@ -199,7 +175,6 @@ type repair_report = {
 }
 
 val repair :
-  ?engine:profile_engine ->
   ?config:phase1_config ->
   ?repair_config:Repair.config ->
   ?checkpoint:Resilience.Checkpoint.t ->

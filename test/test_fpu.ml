@@ -195,8 +195,8 @@ let prop_gate_vs_golden_b16 =
           let got_r, got_fl = run_fpu b16 sim op va vb in
           Bitvec.equal expect_r got_r && F.flags_to_int expect_fl = Bitvec.to_int got_fl))
 
-(* Same sweep through both engines: each random case occupies one Sim64
-   lane (in_valid driven per lane), and lane k's result and flags must
+(* Same sweep through both engines: each random case occupies one compiled
+   (Simc) lane (in_valid driven per lane), and lane k's result and flags must
    match both the scalar engine and the golden model. *)
 let prop_b16_both_engines =
   QCheck_alcotest.to_alcotest
@@ -206,22 +206,22 @@ let prop_b16_both_engines =
             String.concat ";"
               (List.map (fun (o, a, b) -> Printf.sprintf "(%d,%04x,%04x)" o a b) l))
           QCheck.Gen.(
-            list_size (int_range 1 Sim64.lanes)
+            list_size (int_range 1 Simc.lanes)
               (triple (int_bound 7) gen_b16_interesting gen_b16_interesting)))
        (let nl = Fpu.netlist () in
         let sim = Sim.create nl in
-        let s64 = Sim64.create nl in
+        let sc = Simc.create nl in
         fun cases ->
-          Sim64.reset s64;
+          Simc.reset sc;
           List.iteri
             (fun lane (o, a, b) ->
-              Sim64.set_input s64 ~lane Fpu.op_port (bv 3 o);
-              Sim64.set_input s64 ~lane Fpu.a_port (bv 16 a);
-              Sim64.set_input s64 ~lane Fpu.b_port (bv 16 b);
-              Sim64.set_input s64 ~lane Fpu.in_valid_port (bv 1 1))
+              Simc.set_input sc ~lane Fpu.op_port (bv 3 o);
+              Simc.set_input sc ~lane Fpu.a_port (bv 16 a);
+              Simc.set_input sc ~lane Fpu.b_port (bv 16 b);
+              Simc.set_input sc ~lane Fpu.in_valid_port (bv 1 1))
             cases;
-          Sim64.step s64;
-          Sim64.step s64;
+          Simc.step sc;
+          Simc.step sc;
           let ok = ref true in
           List.iteri
             (fun lane (o, a, b) ->
@@ -229,14 +229,14 @@ let prop_b16_both_engines =
               let va = bv 16 a and vb = bv 16 b in
               let expect_r, expect_fl = Softfloat.apply b16 op va vb in
               let got_r, got_fl = run_fpu b16 sim op va vb in
-              let r64 = Sim64.output s64 ~lane Fpu.r_port in
-              let fl64 = Sim64.output s64 ~lane Fpu.flags_port in
+              let r_lane = Simc.output sc ~lane Fpu.r_port in
+              let fl_lane = Simc.output sc ~lane Fpu.flags_port in
               if
                 not
                   (Bitvec.equal expect_r got_r
-                  && Bitvec.equal expect_r r64
+                  && Bitvec.equal expect_r r_lane
                   && F.flags_to_int expect_fl = Bitvec.to_int got_fl
-                  && Bitvec.to_int got_fl = Bitvec.to_int fl64)
+                  && Bitvec.to_int got_fl = Bitvec.to_int fl_lane)
               then ok := false)
             cases;
           !ok))

@@ -320,8 +320,8 @@ let prop_alu16_random =
           let va = bv 16 a and vb = bv 16 b in
           Bitvec.equal (Alu.golden ~width:16 op va vb) (run_alu sim op va vb)))
 
-(* Same sweep through both engines: each random case occupies one Sim64
-   lane, and lane k's result must match both the scalar engine and the
+(* Same sweep through both engines: each random case occupies one compiled
+   (Simc) lane, and lane k's result must match both the scalar engine and the
    golden model. *)
 let prop_alu8_both_engines =
   QCheck_alcotest.to_alcotest
@@ -331,20 +331,20 @@ let prop_alu8_both_engines =
             String.concat ";"
               (List.map (fun (o, a, b) -> Printf.sprintf "(%d,%d,%d)" o a b) l))
           QCheck.Gen.(
-            list_size (int_range 1 Sim64.lanes)
+            list_size (int_range 1 Simc.lanes)
               (triple (int_bound 9) (int_bound 255) (int_bound 255))))
        (let sim = Sim.create alu8 in
-        let s64 = Sim64.create alu8 in
+        let sc = Simc.create alu8 in
         fun cases ->
-          Sim64.reset s64;
+          Simc.reset sc;
           List.iteri
             (fun lane (o, a, b) ->
-              Sim64.set_input s64 ~lane Alu.op_port (bv 4 o);
-              Sim64.set_input s64 ~lane Alu.a_port (bv 8 a);
-              Sim64.set_input s64 ~lane Alu.b_port (bv 8 b))
+              Simc.set_input sc ~lane Alu.op_port (bv 4 o);
+              Simc.set_input sc ~lane Alu.a_port (bv 8 a);
+              Simc.set_input sc ~lane Alu.b_port (bv 8 b))
             cases;
-          Sim64.step s64;
-          Sim64.step s64;
+          Simc.step sc;
+          Simc.step sc;
           let ok = ref true in
           List.iteri
             (fun lane (o, a, b) ->
@@ -352,7 +352,7 @@ let prop_alu8_both_engines =
               let va = bv 8 a and vb = bv 8 b in
               let golden = Alu.golden ~width:8 op va vb in
               let scalar = run_alu sim op va vb in
-              let lane_r = Sim64.output s64 ~lane Alu.r_port in
+              let lane_r = Simc.output sc ~lane Alu.r_port in
               if not (Bitvec.equal golden scalar && Bitvec.equal golden lane_r) then
                 ok := false)
             cases;

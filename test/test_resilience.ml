@@ -35,7 +35,6 @@ let tiny_sup =
         ld_suites = 2;
         ld_cases = 16;
         ld_seed = 11;
-        ld_engine = Lift.Engine_sim64;
       };
   }
 

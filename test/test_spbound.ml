@@ -135,7 +135,7 @@ let build_random_netlist rng =
   done;
   B.finish b
 
-(* Per-input-bit Bernoulli probabilities, and a profiled Sim64 run that
+(* Per-input-bit Bernoulli probabilities, and a profiled Simc run that
    draws every lane of every bit i.i.d. at its probability. *)
 let random_bit_probs rng nl =
   let probs = Hashtbl.create 16 in
@@ -149,20 +149,20 @@ let random_bit_probs rng nl =
   probs
 
 let profiled_bernoulli_run rng nl probs cycles =
-  let s = Sim64.create ~profile:true nl in
+  let s = Simc.create ~profile:true nl in
   for _ = 1 to cycles do
     List.iter
       (fun (p : Netlist.port) ->
         Array.iteri
           (fun bit _ ->
             let pr = Hashtbl.find probs (p.Netlist.port_name, bit) in
-            for lane = 0 to Sim64.lanes - 1 do
-              Sim64.set_input_bit s ~lane p.Netlist.port_name bit
+            for lane = 0 to Simc.lanes - 1 do
+              Simc.set_input_bit s ~lane p.Netlist.port_name bit
                 (Random.State.float rng 1.0 < pr)
             done)
           p.Netlist.port_nets)
       (Netlist.inputs nl);
-    Sim64.step s
+    Simc.step s
   done;
   s
 
@@ -189,7 +189,7 @@ let prop_interval_soundness =
          let ok = ref true in
          for n = 0 to Netlist.num_nets nl - 1 do
            let i = Spbound.sp sb n in
-           let m = Sim64.sp s n in
+           let m = Simc.sp s n in
            if m < i.Spbound.lo -. eps || m > i.Spbound.hi +. eps then ok := false
          done;
          !ok))
@@ -232,7 +232,7 @@ let prop_safe_pairs_never_violate =
            let s = profiled_bernoulli_run rng nl probs 64 in
            let sp_of_net n =
              let i = Spbound.sp sb n in
-             Float.min i.Spbound.hi (Float.max i.Spbound.lo (Sim64.sp s n))
+             Float.min i.Spbound.hi (Float.max i.Spbound.lo (Simc.sp s n))
            in
            let aged = Sta.aged_timing ~sp_of_net ~years:10.0 aglib in
            let viol = Sta.violating_pairs ~timing:aged ~clock_period_ps nl in
@@ -344,6 +344,14 @@ let degenerate_rows not_a_dir =
       ("fleet --quick --domains 0", 2, "--domains");
       ("fleet --quick --devices 0", 2, "--devices");
       ("fleet --quick --margin 0", 2, "--margin");
+      ("fleet --quick --specs=-1", 2, "--specs");
+      ("fleet --quick --specs 0", 2, "--specs");
+      ("lift --unit alu --width 8 --slice=-5", 2, "--slice");
+      ("lift --unit alu --width 8 --slice 0", 2, "--slice");
+      ("lift --unit alu --width 8 --budget 0", 2, "--budget");
+      (* the simulator is fixed per job: there is no engine selector *)
+      ("lift --unit alu --width 8 --engine simc", 2, "unknown option");
+      ("fleet --quick --engine sim64", 2, "unknown option");
       ("report --quick --width 8", 2, "unknown option");
       ("guard-campaign --quick --seed x", 2, "--seed");
       ("guard-campaign --quick --checkpoint " ^ Filename.quote not_a_dir, 3, "Not a directory");

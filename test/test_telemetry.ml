@@ -384,10 +384,18 @@ let test_sim64_zero_allocation_overhead () =
   Alcotest.(check (float 0.0)) "disabled sweep allocation is reproducible" disabled1 disabled2;
   Alcotest.(check (float 0.0)) "enabled sweep allocates exactly as much as disabled" disabled1
     enabled;
-  (* Same regression for the compiled engine: the Simc dispatch loop and
-     its counters must be equally allocation-free across the sweep. *)
+  (* Same regression for the compiled engine behind every machine unit:
+     the Simc dispatch loop, its profile sampling and its counters must be
+     equally allocation-free across a profiled machine run of the suite. *)
+  let m =
+    Machine.create
+      ~config:{ Machine.default_config with Machine.width = 8; fmt = Fpu_format.tiny }
+      ~profile_units:true ~alu:(Machine.Alu_netlist faulty) ~fpu:Machine.Fpu_functional ()
+  in
+  let prog = Lift.suite_program suite in
   let sweep_simc () =
-    ignore (Sys.opaque_identity (Lift.detected_cases ~seed:7 ~engine:Lift.Engine_simc suite faulty))
+    Machine.reset m;
+    ignore (Sys.opaque_identity (Machine.run m prog))
   in
   sweep_simc ();
   let c_disabled1 = alloc_of sweep_simc in
@@ -396,9 +404,9 @@ let test_sim64_zero_allocation_overhead () =
   let c_enabled = alloc_of sweep_simc in
   Telemetry.disable ();
   Alcotest.(check (float 0.0))
-    "disabled simc sweep allocation is reproducible" c_disabled1 c_disabled2;
+    "disabled simc run allocation is reproducible" c_disabled1 c_disabled2;
   Alcotest.(check (float 0.0))
-    "enabled simc sweep allocates exactly as much as disabled" c_disabled1 c_enabled
+    "enabled simc run allocates exactly as much as disabled" c_disabled1 c_enabled
 
 (* ---------- golden Chrome traces ---------- *)
 
@@ -433,7 +441,7 @@ let test_golden_trace_alu () =
     Alcotest.(check string) "ALU lift trace matches golden byte-for-byte" expected got
 
 (* The FPU golden covers the phase-1-only path (aging_analysis) in
-   process, exercising the vega.* spans and the Sim/Sim64 counters. *)
+   process, exercising the vega.* spans and the simc.* counters. *)
 let fpu_phase1_trace () =
   Telemetry.enable ~clock:(Telemetry.Clock.virtual_ ()) ();
   let target = Lift.fpu_target () in

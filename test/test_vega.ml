@@ -69,21 +69,18 @@ let test_full_workflow () =
   Alcotest.(check int) "classification partitions pairs" (List.length report.Vega.pair_results)
     total
 
-(* --- the batched (word-parallel) profiling path --- *)
+(* --- the batched (word-parallel) SP replay --- *)
 
-let scalar_ones r n =
-  int_of_float (Float.round (Sim.sp r n *. float_of_int (Sim.samples r)))
-
-(* The documented contract of [Batched_profile]: ones-counts are exact
+(* The documented contract of [Vega.replay_sp]: ones-counts are exact
    w.r.t. a sequential back-to-back replay of the same operation stream
    (each lane's warm-up replays the preceding ops, so lane boundaries do
    not perturb the pipeline state the samples observe). *)
 let test_batched_replay_matches_scalar () =
   let ops = Vega.recorded_unit_ops small_target ~workload:Vega.run_minver_workload in
   Alcotest.(check bool) "ops recorded" true (Array.length ops > 0);
-  match Vega.replay_unit_ops small_target ops with
-  | None -> Alcotest.fail "replay returned no simulator"
-  | Some s64 ->
+  match Vega.replay_sp small_target ops with
+  | None -> Alcotest.fail "replay returned no profile"
+  | Some (samples, sp) ->
     let nl = small_target.Lift.netlist in
     let n = Array.length ops in
     let r = Sim.create ~profile:true nl in
@@ -97,29 +94,13 @@ let test_batched_replay_matches_scalar () =
         List.iter (fun (p, v) -> Sim.set_input r p v) assignment;
         Sim.step r)
       ops;
-    Alcotest.(check int) "one sample per operation" n (Sim64.samples s64);
-    Alcotest.(check int) "samples match scalar replay" (Sim.samples r) (Sim64.samples s64);
+    Alcotest.(check int) "one sample per operation" n samples;
+    Alcotest.(check int) "samples match scalar replay" (Sim.samples r) samples;
     let mismatches = ref 0 in
     for net = 0 to Netlist.num_nets nl - 1 do
-      if Sim64.ones_count s64 net <> scalar_ones r net then incr mismatches
+      if sp net <> Sim.sp r net then incr mismatches
     done;
-    Alcotest.(check int) "ones-counts exact on every net" 0 !mismatches
-
-let test_batched_engine_analysis () =
-  let a =
-    Vega.aging_analysis ~engine:Vega.Batched_profile ~config:small_phase1 small_target
-      ~workload:Vega.run_minver_workload
-  in
-  Alcotest.(check bool) "sp profiled" true (a.Vega.sp_samples > 0);
-  Alcotest.(check bool) "aged violations appear" true
-    (a.Vega.aged_report.Sta.setup_violations <> []);
-  Alcotest.(check bool) "violating pairs found" true (a.Vega.violating_pairs <> []);
-  let bad = ref 0 in
-  for net = 0 to Netlist.num_nets small_target.Lift.netlist - 1 do
-    let sp = a.Vega.sp_of_net net in
-    if not (sp >= 0.0 && sp <= 1.0) then incr bad
-  done;
-  Alcotest.(check int) "sp is a probability on every net" 0 !bad
+    Alcotest.(check int) "SP exact on every net" 0 !mismatches
 
 let test_machine_for () =
   let m = Vega.machine_for small_target in
@@ -184,7 +165,6 @@ let () =
       ( "batched profile",
         [
           Alcotest.test_case "replay matches scalar" `Quick test_batched_replay_matches_scalar;
-          Alcotest.test_case "aging analysis" `Quick test_batched_engine_analysis;
         ] );
       ( "experiments",
         [

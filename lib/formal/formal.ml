@@ -119,40 +119,35 @@ type outcome =
   | Bounded_unreachable of int
   | Timeout of int
 
+(* Longest register chain, one memoised DFS over nets: a DFF's output sits
+   one level above its D input, a combinational net at the max level of its
+   inputs, a primary input at 0.  Builder.finish rejects combinational
+   cycles, so a net met again while still on the DFS stack closes a loop
+   through a DFF: state feedback. *)
 let sequential_depth nl =
   let cells = Netlist.cells nl in
-  let dff_ids = Netlist.dffs nl in
-  (* source DFFs feeding each DFF's D pin through combinational logic *)
-  let sources id =
-    let seen = Hashtbl.create 16 in
-    let acc = ref [] in
-    let rec walk net =
-      match Netlist.driver nl net with
-      | Netlist.Driven_by_input _ -> ()
-      | Netlist.Driven_by_cell cid ->
-        if not (Hashtbl.mem seen cid) then begin
-          Hashtbl.replace seen cid ();
-          let c = cells.(cid) in
-          if Cell.Kind.is_sequential c.kind then acc := cid :: !acc
-          else Array.iter walk c.inputs
-        end
-    in
-    walk cells.(id).inputs.(0);
-    !acc
-  in
-  let rank = Hashtbl.create 16 in
+  (* -1 unvisited, -2 on the DFS stack, else the net's level *)
+  let level = Array.make (max 1 (Netlist.num_nets nl)) (-1) in
   let exception Cyclic in
-  let rec compute id =
-    match Hashtbl.find_opt rank id with
-    | Some (Some r) -> r
-    | Some None -> raise Cyclic
-    | None ->
-      Hashtbl.replace rank id None;
-      let r = 1 + List.fold_left (fun acc s -> max acc (compute s)) 0 (sources id) in
-      Hashtbl.replace rank id (Some r);
-      r
+  let rec visit n =
+    match level.(n) with
+    | -2 -> raise Cyclic
+    | -1 ->
+      level.(n) <- -2;
+      let l =
+        match Netlist.driver nl n with
+        | Netlist.Driven_by_input _ -> 0
+        | Netlist.Driven_by_cell cid ->
+          let c = cells.(cid) in
+          if Cell.Kind.is_sequential c.kind then 1 + visit c.inputs.(0)
+          else Array.fold_left (fun acc i -> max acc (visit i)) 0 c.inputs
+      in
+      level.(n) <- l;
+      l
+    | l -> l
   in
-  try Some (List.fold_left (fun acc id -> max acc (compute id)) 0 dff_ids)
+  try
+    Some (List.fold_left (fun acc id -> max acc (visit cells.(id).output)) 0 (Netlist.dffs nl))
   with Cyclic -> None
 
 let solver_calls = ref 0

@@ -26,11 +26,27 @@ val num_clauses : t -> int
 (** Problem clauses added so far (excluding learned clauses). *)
 
 val add_clause : t -> int list -> unit
-(** Add a clause (list of literals).  Duplicate literals are merged and
-    tautologies dropped.  Adding the empty clause makes the instance
-    trivially unsatisfiable.
+(** Add a clause (list of literals).  Every literal is checked first; then,
+    unless the instance is already unsatisfiable at the root (in which case
+    the clause is ignored), the solver returns to decision level 0 and
+    normalises the clause against the root assignment:
+    + literals are sorted in ascending integer order (negative literals
+      first) and duplicates merged;
+    + a tautology (some [l] and [-l]) is dropped, as is a clause with a
+      literal already true at the root;
+    + literals false at the root are removed, keeping the order;
+    + what remains is stored: nothing left makes the instance
+      unsatisfiable; one literal is enqueued as a root fact and propagated
+      at once (a conflict makes the instance unsatisfiable); two or more
+      are stored as a problem clause in that order, watched on its first
+      two literals.
+
+    The search depends on this exact order (watch lists, clause order in
+    propagation and conflict analysis), so every decision, conflict count
+    and trace built on the solver does too: the contract is part of the
+    output, not an implementation detail.
     @raise Invalid_argument on a literal whose variable was never
-    allocated. *)
+    allocated (including the literal [0]). *)
 
 val solve : ?assumptions:int list -> ?max_conflicts:int -> t -> result
 (** Decide satisfiability under the given assumption literals.  Returns
@@ -47,7 +63,9 @@ val to_dimacs : t -> string
 (** The problem clauses in DIMACS CNF (for cross-checking against external
     solvers).  Learned clauses are not included.  Note that root-level
     simplification during {!add_clause} may already have dropped satisfied
-    clauses and falsified literals, so this is the simplified instance. *)
+    clauses and falsified literals, so this is the simplified instance; and
+    propagation moves literals within a stored clause, so after a unit
+    clause or a {!solve} a clause's literals may no longer be sorted. *)
 
 val model : t -> bool array
 (** The full model, indexed by variable id (entry 0 unused). *)

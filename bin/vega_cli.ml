@@ -203,6 +203,25 @@ let workflow unit_kind width margin mitigation =
   let phase2 = { Lift.default_config with Lift.mitigation } in
   Vega.run_workflow ~phase1:(phase1_of margin) ~phase2 target ~workload:Vega.run_minver_workload
 
+(* The exit-code contract, declared in every subcommand's EXIT STATUS
+   section.  Cmdliner's own 123/124 never escape: the handler at the
+   bottom of this file maps its parse errors to 2. *)
+let exits =
+  [
+    Cmd.Exit.info 0 ~doc:"on success.";
+    Cmd.Exit.info 1
+      ~doc:
+        "when the run reports a finding: a detected SDC, a failed check or proof, an escaped \
+         or quarantined run, or violations left after repair.";
+    Cmd.Exit.info 2
+      ~doc:
+        "on a usage error: a bad option or argument value, or an unknown subcommand, \
+         register, cell or port.";
+    Cmd.Exit.info 3
+      ~doc:"on a stale or unusable checkpoint, or a file that cannot be read or written.";
+    Cmd.Exit.info 125 ~doc:"on an unexpected internal error (a bug).";
+  ]
+
 (* ---------- analyze ---------- *)
 
 let static_arg =
@@ -315,7 +334,7 @@ let analyze_cmd =
       $ static_prune_arg)
   in
   Cmd.v
-    (Cmd.info "analyze"
+    (Cmd.info "analyze" ~exits
        ~doc:
          "Phase 1: aging-aware timing analysis of a functional unit, optionally pruned (or \
           replaced entirely, with $(b,--static)) by the sound static Spbound triage.")
@@ -468,7 +487,7 @@ let lift_cmd =
       $ static_prune_arg $ checkpoint_arg $ resume_arg)
   in
   Cmd.v
-    (Cmd.info "lift"
+    (Cmd.info "lift" ~exits
        ~doc:
          "Phases 1+2 under the resilience supervisor: generate the SDC test suite for a unit \
           with budget-sliced formal lifting, a random-search degradation ladder, and optional \
@@ -535,7 +554,7 @@ let run_cmd =
       $ inject_arg $ seed_arg $ suite_file_arg)
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Run the generated suite on a healthy or fault-injected unit.")
+    (Cmd.info "run" ~exits ~doc:"Run the generated suite on a healthy or fault-injected unit.")
     term
 
 (* ---------- emit-c ---------- *)
@@ -547,7 +566,7 @@ let emit_c_cmd =
     0
   in
   let term = Term.(const run $ unit_arg $ width_arg $ margin_arg $ mitigation_arg) in
-  Cmd.v (Cmd.info "emit-c" ~doc:"Emit the software aging library as C source.") term
+  Cmd.v (Cmd.info "emit-c" ~exits ~doc:"Emit the software aging library as C source.") term
 
 (* ---------- verilog ---------- *)
 
@@ -584,7 +603,7 @@ let verilog_cmd =
   in
   let term = Term.(const run $ unit3_arg $ width_arg $ inject_arg) in
   Cmd.v
-    (Cmd.info "verilog" ~doc:"Export a (optionally fault-instrumented) netlist as Verilog.")
+    (Cmd.info "verilog" ~exits ~doc:"Export a (optionally fault-instrumented) netlist as Verilog.")
     term
 
 (* ---------- fuzz ---------- *)
@@ -624,7 +643,7 @@ let fuzz_cmd =
   in
   let term = Term.(const run $ telemetry_term $ unit_arg $ width_arg $ pair_arg $ budget_arg) in
   Cmd.v
-    (Cmd.info "fuzz" ~doc:"Compare formal vs fuzzing-based test construction for one pair.")
+    (Cmd.info "fuzz" ~exits ~doc:"Compare formal vs fuzzing-based test construction for one pair.")
     term
 
 (* ---------- optimize ---------- *)
@@ -640,23 +659,21 @@ let optimize_cmd =
       stats.Netlist_opt.cells_before stats.Netlist_opt.cells_after stats.Netlist_opt.folded
       stats.Netlist_opt.dead_removed;
     if verify then begin
-      match Formal.check_equivalence nl opt with
-      | Formal.Equivalent -> print_endline "formally equivalent: PROVEN"
-      | Formal.Different t ->
+      match Cec.check nl opt with
+      | Cec.Equivalent -> print_endline "formally equivalent: PROVEN"
+      | Cec.Inequivalent _ as v ->
         print_endline "DIVERGES:";
-        print_string (Formal.Trace.to_string t);
+        print_endline (Cec.describe v);
         exit 1
-      | Formal.Bounded_equivalent k -> Printf.printf "equivalent within %d cycles (bounded)
-" k
-      | Formal.Equiv_timeout -> print_endline "verification timed out"
+      | Cec.Unknown -> print_endline "verification timed out"
     end;
     0
   in
   let verify_arg =
-    Arg.(value & flag & info [ "verify" ] ~doc:"Prove equivalence with the formal checker.")
+    Arg.(value & flag & info [ "verify" ] ~doc:"Prove equivalence with the CEC checker.")
   in
   let term = Term.(const run $ telemetry_term $ unit_arg $ width_arg $ verify_arg) in
-  Cmd.v (Cmd.info "optimize" ~doc:"Run the netlist optimizer on a unit (and optionally verify).") term
+  Cmd.v (Cmd.info "optimize" ~exits ~doc:"Run the netlist optimizer on a unit (and optionally verify).") term
 
 (* ---------- encode ---------- *)
 
@@ -673,7 +690,7 @@ let encode_cmd =
   in
   let term = Term.(const run $ unit_arg $ width_arg $ margin_arg $ mitigation_arg) in
   Cmd.v
-    (Cmd.info "encode" ~doc:"Emit the generated suite as RV32 machine code (readmemh hex).")
+    (Cmd.info "encode" ~exits ~doc:"Emit the generated suite as RV32 machine code (readmemh hex).")
     term
 
 (* ---------- lint ---------- *)
@@ -730,7 +747,7 @@ let lint_cmd =
   in
   let term = Term.(const run $ unit_opt_arg $ width_arg $ selftest_arg) in
   Cmd.v
-    (Cmd.info "lint"
+    (Cmd.info "lint" ~exits
        ~doc:"Structural lint of a unit netlist (or --selftest the diagnostic corpus); exits \
              non-zero on error-class diagnostics.")
     term
@@ -802,7 +819,7 @@ let check_cmd =
   in
   let term = Term.(const run $ telemetry_term $ unit_arg $ width_arg $ seed_arg) in
   Cmd.v
-    (Cmd.info "check"
+    (Cmd.info "check" ~exits
        ~doc:"Full static-verification sweep of a unit: lint, optimizer CEC, fault-replica CEC, \
              seeded-mutation detection, SCOAP testability.")
     term
@@ -819,7 +836,7 @@ let report_cmd =
     0
   in
   Cmd.v
-    (Cmd.info "report" ~doc:"Regenerate every table and figure of the paper's evaluation.")
+    (Cmd.info "report" ~exits ~doc:"Regenerate every table and figure of the paper's evaluation.")
     Term.(const run $ telemetry_term $ quick_arg)
 
 (* ---------- guard-campaign ---------- *)
@@ -853,7 +870,7 @@ let guard_campaign_cmd =
       if s.Experiments.cs_guarded_escapes > 0 then 1 else 0
   in
   Cmd.v
-    (Cmd.info "guard-campaign"
+    (Cmd.info "guard-campaign" ~exits
        ~doc:
          "Inject phase-2 fault specs mid-run under each recovery policy and tabulate; exits 1 \
           when any guarded run escapes.")
@@ -960,7 +977,7 @@ let attack_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "attack"
+    (Cmd.info "attack" ~exits
        ~doc:
          "Search for an adversarial wearout workload (maximal BTI stress duty on the worst \
           paths); with $(b,--campaign), also measure its time-to-violation acceleration and \
@@ -1020,7 +1037,7 @@ let monitors_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "monitors"
+    (Cmd.info "monitors" ~exits
        ~doc:
          "Insert in-situ canary monitors (aged-replica paths with a trip comparator) into a \
           unit and prove them inert (lint, CEC, trip covers).  Exits 1 when no path qualifies \
@@ -1116,7 +1133,7 @@ let repair_cmd =
       if report.Vega.rr_violating_after > 0 then 1 else 0
   in
   Cmd.v
-    (Cmd.info "repair"
+    (Cmd.info "repair" ~exits
        ~doc:
          "Repair the aging-violating register pairs of a unit with the verified rewrite \
           ladder (gate strengthening, duplication + voting, SP-rebalancing restructure, \
@@ -1233,7 +1250,7 @@ let fleet_cmd =
       if st.Fleet.st_quarantined > 0 then 1 else 0
   in
   Cmd.v
-    (Cmd.info "fleet"
+    (Cmd.info "fleet" ~exits
        ~doc:
          "Run a device population (per-device temperature/Vdd/workload aging corners) through \
           the fault-tolerant domain pool and tabulate the population SDC-escape and \
@@ -1247,7 +1264,7 @@ let fleet_cmd =
 
 let () =
   let doc = "proactive runtime detection of aging-related silent data corruptions" in
-  let info = Cmd.info "vega" ~version:"1.0.0" ~doc in
+  let info = Cmd.info "vega" ~exits ~version:"1.0.0" ~doc in
   let cmd =
     Cmd.group info
       [

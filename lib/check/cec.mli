@@ -1,9 +1,8 @@
 (** SAT-based combinational equivalence checking (CEC) with register
     correspondence.
 
-    Complements {!Formal.check_equivalence} (cycle-by-cycle bounded model
-    checking): instead of unrolling the transition relation, the checker
-    matches the two netlists' registers {e by instance name}, treats each
+    Instead of unrolling the transition relation cycle by cycle as bounded
+    model checking ({!Formal}) does, the checker matches the two netlists' registers {e by instance name}, treats each
     matched register's [Q] as a shared free variable, and builds a miter
     proving that (a) every matched output-port bit and (b) every matched
     register's next-state function compute the same combinational function

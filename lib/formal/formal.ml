@@ -155,123 +155,142 @@ let total_conflicts = ref 0
 
 let stats () = (!solver_calls, !total_conflicts)
 
-(* One BMC session: incrementally unrolled transition relation. *)
+(* One BMC session: incrementally unrolled transition relation.
+   [push_cycle] allocates a cycle's nets as one block of variables, so net
+   [n] at cycle [c] is variable [base.(c) + n]. *)
 type session = {
   nl : Netlist.t;
   solver : Sat.t;
-  mutable vars : int array list;  (* per cycle, reversed: hd = latest *)
+  base : int array;  (* first variable of each encoded cycle *)
   mutable depth : int;  (* cycles encoded *)
   const_true : int;
 }
 
-let new_session nl =
-  let solver = Sat.create () in
+(* The solver every session of a domain reuses: [Sat.reset] keeps the
+   arrays it has grown, so a session allocates only what it outgrows.  It
+   is held weakly so that the GC can reclaim it once phase 2 is over.
+   Sessions never nest, so one per domain is enough. *)
+let scratch = Domain.DLS.new_key (fun () -> Weak.create 1)
+
+let scratch_solver () =
+  let w = Domain.DLS.get scratch in
+  match Weak.get w 0 with
+  | Some solver ->
+    Sat.reset solver;
+    solver
+  | None ->
+    let solver = Sat.create () in
+    Weak.set w 0 (Some solver);
+    solver
+
+let new_session nl ~max_cycles =
+  let solver = scratch_solver () in
   let const_true = Sat.new_var solver in
-  Sat.add_clause solver [ const_true ];
-  { nl; solver; vars = []; depth = 0; const_true }
+  Sat.add_clause_array solver [| const_true |];
+  { nl; solver; base = Array.make (max 0 max_cycles) 0; depth = 0; const_true }
 
-let cycle_vars s c =
-  let rec nth l i = match l with [] -> invalid_arg "cycle" | x :: r -> if i = 0 then x else nth r (i - 1) in
-  nth s.vars (s.depth - 1 - c)
+(* The variable of net [n] at cycle [c]. *)
+let net_var s c n =
+  if n < 0 || n >= Netlist.num_nets s.nl then
+    invalid_arg (Printf.sprintf "Formal: net %d out of range" n);
+  s.base.(c) + n
 
-let add_gate_clauses s vars (c : Netlist.cell) =
-  let sv = s.solver in
-  let y = vars.(c.output) in
-  let i k = vars.(c.inputs.(k)) in
+let add_gate_clauses sv base (c : Netlist.cell) =
+  let y = base + c.output in
+  let i k = base + c.inputs.(k) in
+  let add = Sat.add_clause_array sv in
   match c.kind with
-  | Cell.Kind.Tie0 -> Sat.add_clause sv [ -y ]
-  | Cell.Kind.Tie1 -> Sat.add_clause sv [ y ]
+  | Cell.Kind.Tie0 -> add [| -y |]
+  | Cell.Kind.Tie1 -> add [| y |]
   | Cell.Kind.Buf ->
-    Sat.add_clause sv [ -y; i 0 ];
-    Sat.add_clause sv [ y; -(i 0) ]
+    add [| -y; i 0 |];
+    add [| y; -i 0 |]
   | Cell.Kind.Not ->
-    Sat.add_clause sv [ -y; -(i 0) ];
-    Sat.add_clause sv [ y; i 0 ]
+    add [| -y; -i 0 |];
+    add [| y; i 0 |]
   | Cell.Kind.And2 ->
-    Sat.add_clause sv [ -y; i 0 ];
-    Sat.add_clause sv [ -y; i 1 ];
-    Sat.add_clause sv [ y; -(i 0); -(i 1) ]
+    add [| -y; i 0 |];
+    add [| -y; i 1 |];
+    add [| y; -i 0; -i 1 |]
   | Cell.Kind.Or2 ->
-    Sat.add_clause sv [ y; -(i 0) ];
-    Sat.add_clause sv [ y; -(i 1) ];
-    Sat.add_clause sv [ -y; i 0; i 1 ]
+    add [| y; -i 0 |];
+    add [| y; -i 1 |];
+    add [| -y; i 0; i 1 |]
   | Cell.Kind.Nand2 ->
-    Sat.add_clause sv [ y; i 0 ];
-    Sat.add_clause sv [ y; i 1 ];
-    Sat.add_clause sv [ -y; -(i 0); -(i 1) ]
+    add [| y; i 0 |];
+    add [| y; i 1 |];
+    add [| -y; -i 0; -i 1 |]
   | Cell.Kind.Nor2 ->
-    Sat.add_clause sv [ -y; -(i 0) ];
-    Sat.add_clause sv [ -y; -(i 1) ];
-    Sat.add_clause sv [ y; i 0; i 1 ]
+    add [| -y; -i 0 |];
+    add [| -y; -i 1 |];
+    add [| y; i 0; i 1 |]
   | Cell.Kind.Xor2 ->
-    Sat.add_clause sv [ -y; i 0; i 1 ];
-    Sat.add_clause sv [ -y; -(i 0); -(i 1) ];
-    Sat.add_clause sv [ y; -(i 0); i 1 ];
-    Sat.add_clause sv [ y; i 0; -(i 1) ]
+    add [| -y; i 0; i 1 |];
+    add [| -y; -i 0; -i 1 |];
+    add [| y; -i 0; i 1 |];
+    add [| y; i 0; -i 1 |]
   | Cell.Kind.Xnor2 ->
-    Sat.add_clause sv [ y; i 0; i 1 ];
-    Sat.add_clause sv [ y; -(i 0); -(i 1) ];
-    Sat.add_clause sv [ -y; -(i 0); i 1 ];
-    Sat.add_clause sv [ -y; i 0; -(i 1) ]
+    add [| y; i 0; i 1 |];
+    add [| y; -i 0; -i 1 |];
+    add [| -y; -i 0; i 1 |];
+    add [| -y; i 0; -i 1 |]
   | Cell.Kind.Mux2 ->
     (* output = s ? b : a with inputs a=0, b=1, s=2 *)
-    Sat.add_clause sv [ i 2; -(i 0); y ];
-    Sat.add_clause sv [ i 2; i 0; -y ];
-    Sat.add_clause sv [ -(i 2); -(i 1); y ];
-    Sat.add_clause sv [ -(i 2); i 1; -y ]
+    add [| i 2; -i 0; y |];
+    add [| i 2; i 0; -y |];
+    add [| -i 2; -i 1; y |];
+    add [| -i 2; i 1; -y |]
   | Cell.Kind.Dff -> ()  (* handled by the transition relation *)
 
 (* Extend the unrolling by one cycle. *)
 let push_cycle s =
-  let n = Netlist.num_nets s.nl in
-  let vars = Array.init n (fun _ -> Sat.new_var s.solver) in
-  let prev = if s.depth > 0 then Some (List.hd s.vars) else None in
-  s.vars <- vars :: s.vars;
+  let base = Sat.new_vars s.solver (Netlist.num_nets s.nl) in
+  s.base.(s.depth) <- base;
   s.depth <- s.depth + 1;
   let cells = Netlist.cells s.nl in
-  Array.iter (fun (c : Netlist.cell) -> add_gate_clauses s vars c) cells;
+  Array.iter (add_gate_clauses s.solver base) cells;
   List.iter
     (fun id ->
       let c = cells.(id) in
-      let q = vars.(c.output) in
-      match prev with
-      | None ->
+      let q = base + c.output in
+      if s.depth = 1 then
         (* cycle 0: reset state *)
-        Sat.add_clause s.solver [ (if c.reset_value then q else -q) ]
-      | Some pvars ->
-        let d = pvars.(c.inputs.(0)) in
-        Sat.add_clause s.solver [ -q; d ];
-        Sat.add_clause s.solver [ q; -d ])
+        Sat.add_clause_array s.solver [| (if c.reset_value then q else -q) |]
+      else begin
+        let d = s.base.(s.depth - 2) + c.inputs.(0) in
+        Sat.add_clause_array s.solver [| -q; d |];
+        Sat.add_clause_array s.solver [| q; -d |]
+      end)
     (Netlist.dffs s.nl)
 
 (* Tseitin encoding of an expression at a given cycle; returns a literal. *)
 let rec lit_of_expr s cycle = function
   | Const true -> s.const_true
   | Const false -> -s.const_true
-  | Input (port, bit) -> (cycle_vars s cycle).(Netlist.net_of_port_bit s.nl port bit)
-  | Net n -> (cycle_vars s cycle).(n)
+  | Input (port, bit) -> net_var s cycle (Netlist.net_of_port_bit s.nl port bit)
+  | Net n -> net_var s cycle n
   | Not e -> -lit_of_expr s cycle e
   | And (a, b) ->
     let la = lit_of_expr s cycle a and lb = lit_of_expr s cycle b in
     let v = Sat.new_var s.solver in
-    Sat.add_clause s.solver [ -v; la ];
-    Sat.add_clause s.solver [ -v; lb ];
-    Sat.add_clause s.solver [ v; -la; -lb ];
+    Sat.add_clause_array s.solver [| -v; la |];
+    Sat.add_clause_array s.solver [| -v; lb |];
+    Sat.add_clause_array s.solver [| v; -la; -lb |];
     v
   | Or (a, b) ->
     let la = lit_of_expr s cycle a and lb = lit_of_expr s cycle b in
     let v = Sat.new_var s.solver in
-    Sat.add_clause s.solver [ v; -la ];
-    Sat.add_clause s.solver [ v; -lb ];
-    Sat.add_clause s.solver [ -v; la; lb ];
+    Sat.add_clause_array s.solver [| v; -la |];
+    Sat.add_clause_array s.solver [| v; -lb |];
+    Sat.add_clause_array s.solver [| -v; la; lb |];
     v
   | Xor (a, b) ->
     let la = lit_of_expr s cycle a and lb = lit_of_expr s cycle b in
     let v = Sat.new_var s.solver in
-    Sat.add_clause s.solver [ -v; la; lb ];
-    Sat.add_clause s.solver [ -v; -la; -lb ];
-    Sat.add_clause s.solver [ v; -la; lb ];
-    Sat.add_clause s.solver [ v; la; -lb ];
+    Sat.add_clause_array s.solver [| -v; la; lb |];
+    Sat.add_clause_array s.solver [| -v; -la; -lb |];
+    Sat.add_clause_array s.solver [| v; -la; lb |];
+    Sat.add_clause_array s.solver [| v; la; -lb |];
     v
 
 let extract_trace s watch bound =
@@ -280,11 +299,10 @@ let extract_trace s watch bound =
       (fun (p : Netlist.port) ->
         let per_cycle =
           Array.init bound (fun c ->
-              let vars = cycle_vars s c in
               let width = Array.length p.port_nets in
               let v = ref (Bitvec.zero width) in
               Array.iteri
-                (fun i n -> if Sat.value s.solver vars.(n) then v := Bitvec.set_bit !v i true)
+                (fun i n -> if Sat.value s.solver (net_var s c n) then v := Bitvec.set_bit !v i true)
                 p.port_nets;
               !v)
         in
@@ -294,7 +312,7 @@ let extract_trace s watch bound =
   let observed =
     List.map
       (fun (name, net) ->
-        (name, Array.init bound (fun c -> Sat.value s.solver (cycle_vars s c).(net))))
+        (name, Array.init bound (fun c -> Sat.value s.solver (net_var s c net))))
       watch
   in
   { Trace.netlist_name = Netlist.name s.nl; cycles = bound; inputs; observed }
@@ -312,7 +330,7 @@ let check_cover_stats ?(assumes = []) ?(watch = []) ?max_cycles ?(max_conflicts 
     | None, None -> 8
   in
   let start_cycle = max 1 start_cycle in
-  let s = new_session nl in
+  let s = new_session nl ~max_cycles in
   let budget = ref max_conflicts in
   let calls = ref 0 in
   let effort = ref Sat.zero_stats in
@@ -329,7 +347,7 @@ let check_cover_stats ?(assumes = []) ?(watch = []) ?max_cycles ?(max_conflicts 
       push_cycle s;
       (* assumptions for this cycle's constraints *)
       List.iter
-        (fun e -> Sat.add_clause s.solver [ lit_of_expr s (k - 1) e ])
+        (fun e -> Sat.add_clause_array s.solver [| lit_of_expr s (k - 1) e |])
         assumes;
       if k < start_cycle then try_bound (k + 1)
       else begin
@@ -395,107 +413,3 @@ let check_cover_stats ?(assumes = []) ?(watch = []) ?max_cycles ?(max_conflicts 
 
 let check_cover ?assumes ?watch ?max_cycles ?max_conflicts ?start_cycle nl ~cover =
   fst (check_cover_stats ?assumes ?watch ?max_cycles ?max_conflicts ?start_cycle nl ~cover)
-
-(* Inline a netlist's cells into a builder, feeding its input ports from
-   the given nets; returns a map from the inlined netlist's nets to the
-   builder's nets. *)
-let inline b (nl : Netlist.t) ~suffix ~input_nets =
-  let map = Hashtbl.create 64 in
-  List.iter
-    (fun (p : Netlist.port) ->
-      let feed =
-        match List.assoc_opt p.Netlist.port_name input_nets with
-        | Some nets -> nets
-        | None -> invalid_arg ("Formal.inline: missing input " ^ p.Netlist.port_name)
-      in
-      if Array.length feed <> Array.length p.Netlist.port_nets then
-        invalid_arg ("Formal.inline: width mismatch on " ^ p.Netlist.port_name);
-      Array.iteri (fun i orig -> Hashtbl.replace map orig feed.(i)) p.Netlist.port_nets)
-    (Netlist.inputs nl);
-  (* pass 1: DFFs with placeholder inputs *)
-  let dffs = ref [] in
-  List.iter
-    (fun id ->
-      let c = Netlist.cell nl id in
-      let new_id, out =
-        Netlist.Builder.add_cell_with_id
-          ~name:(c.Netlist.name ^ suffix)
-          ~clock_domain:c.Netlist.clock_domain ~reset_value:c.Netlist.reset_value b
-          Cell.Kind.Dff
-          [| Netlist.Builder.fresh_net b |]
-      in
-      dffs := (id, new_id) :: !dffs;
-      Hashtbl.replace map c.Netlist.output out)
-    (Netlist.dffs nl);
-  let get orig =
-    match Hashtbl.find_opt map orig with
-    | Some n -> n
-    | None -> invalid_arg "Formal.inline: unmapped net (internal)"
-  in
-  (* pass 2: comb cells in topo order *)
-  Array.iter
-    (fun id ->
-      let c = Netlist.cell nl id in
-      let out =
-        Netlist.Builder.add_cell
-          ~name:(c.Netlist.name ^ suffix)
-          b c.Netlist.kind
-          (Array.map get c.Netlist.inputs)
-      in
-      Hashtbl.replace map c.Netlist.output out)
-    (Netlist.topo_order nl);
-  (* pass 3: rewire DFF inputs *)
-  List.iter
-    (fun (orig_id, new_id) ->
-      let c = Netlist.cell nl orig_id in
-      Netlist.Builder.rewire_input b ~cell_id:new_id ~pin:0 (get c.Netlist.inputs.(0)))
-    !dffs;
-  get
-
-type equivalence = Equivalent | Different of Trace.t | Bounded_equivalent of int | Equiv_timeout
-
-let check_equivalence ?max_cycles ?max_conflicts left right =
-  (* interfaces must match *)
-  let sig_of nl =
-    ( List.map (fun (p : Netlist.port) -> (p.Netlist.port_name, Array.length p.Netlist.port_nets))
-        (Netlist.inputs nl),
-      List.map (fun (p : Netlist.port) -> (p.Netlist.port_name, Array.length p.Netlist.port_nets))
-        (Netlist.outputs nl) )
-  in
-  if sig_of left <> sig_of right then
-    invalid_arg "Formal.check_equivalence: port interfaces differ";
-  let b = Netlist.Builder.create (Netlist.name left ^ "_miter") in
-  let input_nets =
-    List.map
-      (fun (p : Netlist.port) ->
-        (p.Netlist.port_name, Netlist.Builder.add_input b p.Netlist.port_name (Array.length p.Netlist.port_nets)))
-      (Netlist.inputs left)
-  in
-  let map_l = inline b left ~suffix:"@l" ~input_nets in
-  let map_r = inline b right ~suffix:"@r" ~input_nets in
-  (* cover: any output bit differs *)
-  let diffs =
-    List.concat_map
-      (fun (p : Netlist.port) ->
-        let rp = Netlist.find_output right p.Netlist.port_name in
-        List.init (Array.length p.Netlist.port_nets) (fun i ->
-            Netlist.Builder.add_cell b Cell.Kind.Xor2
-              [| map_l p.Netlist.port_nets.(i); map_r rp.Netlist.port_nets.(i) |]))
-      (Netlist.outputs left)
-  in
-  let rec or_tree = function
-    | [] -> invalid_arg "Formal.check_equivalence: no outputs to compare"
-    | [ x ] -> x
-    | x :: y :: rest -> or_tree (Netlist.Builder.add_cell b Cell.Kind.Or2 [| x; y |] :: rest)
-  in
-  let any_diff = or_tree diffs in
-  Netlist.Builder.add_output b "miter" [| any_diff |];
-  let miter = Netlist.Builder.finish b in
-  match
-    check_cover ?max_cycles ?max_conflicts miter
-      ~cover:(Net (Netlist.net_of_port_bit miter "miter" 0))
-  with
-  | Trace_found t -> Different t
-  | Unreachable -> Equivalent
-  | Bounded_unreachable k -> Bounded_equivalent k
-  | Timeout _ -> Equiv_timeout

@@ -126,22 +126,6 @@ val check_cover_stats :
     charge [rs_solver.conflicts] against their budget rather than assuming
     the whole [max_conflicts] was consumed. *)
 
-(** {1 Sequential equivalence checking} *)
-
-type equivalence =
-  | Equivalent  (** proven equal on every reachable cycle *)
-  | Different of Trace.t  (** a distinguishing input sequence *)
-  | Bounded_equivalent of int  (** equal within the bound; not a proof *)
-  | Equiv_timeout
-
-val check_equivalence :
-  ?max_cycles:int -> ?max_conflicts:int -> Netlist.t -> Netlist.t -> equivalence
-(** Miter-based sequential equivalence: both netlists (which must have
-    identical port interfaces) are inlined side by side over shared inputs
-    and the engine searches for a cycle where any output bit differs.
-    Used to validate netlist transformations such as {!Netlist_opt}.
-    @raise Invalid_argument when the interfaces differ. *)
-
 val stats : unit -> int * int
 (** (solver calls, total conflicts) since the program started — cheap
     instrumentation for the benchmark harness. *)

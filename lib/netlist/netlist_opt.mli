@@ -13,8 +13,9 @@
       reach any output port are dropped.
 
     The result is functionally equivalent cycle-by-cycle on the same
-    interface — checkable with {!Formal.check_equivalence}, which is
-    exactly how the test suite validates the pass. *)
+    interface, and surviving registers keep their names — checkable with
+    register-correspondence CEC ({!Cec.check}), which is exactly how the
+    test suite and [vega optimize --verify] validate the pass. *)
 
 type stats = {
   cells_before : int;

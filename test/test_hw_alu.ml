@@ -222,13 +222,12 @@ let test_carry_select_exhaustive () =
 
 let test_adder_styles_formally_equivalent () =
   (* the two ALU adder architectures are sequentially equivalent, proven
-     by the miter-based checker *)
+     by register-correspondence CEC *)
   let ripple = Alu.netlist ~width:8 ~adder:Alu.Ripple () in
   let csel = Alu.netlist ~width:8 ~adder:Alu.Carry_select () in
-  (match Formal.check_equivalence ripple csel with
-  | Formal.Equivalent -> ()
-  | Formal.Different t -> Alcotest.failf "architectures differ:\n%s" (Formal.Trace.to_string t)
-  | _ -> Alcotest.fail "inconclusive");
+  (match Cec.check ripple csel with
+  | Cec.Equivalent -> ()
+  | v -> Alcotest.failf "architectures not proven equal: %s" (Cec.describe v));
   (* and the carry-select one is faster through the adder but larger *)
   Alcotest.(check bool) "carry-select is larger" true
     (Netlist.num_cells csel > Netlist.num_cells ripple);

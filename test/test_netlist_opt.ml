@@ -1,5 +1,5 @@
-(* Tests for the netlist optimizer and the formal equivalence checker
-   that validates it. *)
+(* Tests for the netlist optimizer, with the CEC checker that validates
+   it. *)
 
 module B = Netlist.Builder
 
@@ -89,30 +89,28 @@ let test_fault_instrumentation_cleanup () =
       }
   in
   let opt, _ = Netlist_opt.optimize faulty in
-  match Formal.check_equivalence faulty opt with
-  | Formal.Equivalent -> ()
-  | Formal.Different t -> Alcotest.failf "diverges:\n%s" (Formal.Trace.to_string t)
-  | _ -> Alcotest.fail "inconclusive"
+  match Cec.check faulty opt with
+  | Cec.Equivalent -> ()
+  | v -> Alcotest.failf "not proven: %s" (Cec.describe v)
 
 let test_equivalence_positive () =
   let adder = Example_circuits.pipelined_adder () in
   let opt, _ = Netlist_opt.optimize adder in
-  (match Formal.check_equivalence adder opt with
-  | Formal.Equivalent -> ()
-  | _ -> Alcotest.fail "optimizer broke the adder");
+  (match Cec.check adder opt with
+  | Cec.Equivalent -> ()
+  | v -> Alcotest.failf "optimizer broke the adder: %s" (Cec.describe v));
   (* an ALU survives optimization too, proven equivalent *)
   let alu = Alu.netlist ~width:4 () in
   let alu_opt, stats = Netlist_opt.optimize alu in
   Alcotest.(check bool) "alu shrinks a little" true
     (stats.Netlist_opt.cells_after <= stats.Netlist_opt.cells_before);
-  match Formal.check_equivalence alu alu_opt with
-  | Formal.Equivalent -> ()
-  | Formal.Different t -> Alcotest.failf "ALU diverges:\n%s" (Formal.Trace.to_string t)
-  | _ -> Alcotest.fail "inconclusive on ALU"
+  match Cec.check alu alu_opt with
+  | Cec.Equivalent -> ()
+  | v -> Alcotest.failf "ALU not proven: %s" (Cec.describe v)
 
 let test_equivalence_negative () =
   (* a failing netlist is NOT equivalent to the healthy one, and the
-     counterexample is a genuine distinguishing trace *)
+     counterexample names the comparison point that differs *)
   let adder = Example_circuits.pipelined_adder () in
   let faulty =
     Fault.failing_netlist adder
@@ -124,20 +122,20 @@ let test_equivalence_negative () =
         activation = Fault.Any_transition;
       }
   in
-  match Formal.check_equivalence adder faulty with
-  | Formal.Different t -> Alcotest.(check bool) "short witness" true (t.Formal.Trace.cycles <= 5)
-  | Formal.Equivalent -> Alcotest.fail "fault declared equivalent"
-  | _ -> Alcotest.fail "inconclusive"
+  match Cec.check adder faulty with
+  | Cec.Inequivalent cex -> Alcotest.(check bool) "named site" true (cex.Cec.cex_site <> "")
+  | Cec.Equivalent -> Alcotest.fail "fault declared equivalent"
+  | Cec.Unknown -> Alcotest.fail "inconclusive"
 
 let test_equivalence_interface_check () =
   let adder = Example_circuits.pipelined_adder () in
   let chain = Example_circuits.dff_chain 2 in
-  match Formal.check_equivalence adder chain with
+  match Cec.check adder chain with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "mismatched interfaces accepted"
 
 (* Property: optimization preserves behaviour on random circuits, verified
-   both by simulation and by the formal checker. *)
+   by the CEC checker. *)
 let prop_optimize_preserves =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:60 ~name:"optimize is equivalence-preserving"
@@ -171,10 +169,9 @@ let prop_optimize_preserves =
          B.add_output b "y" [| List.hd !nets |];
          let nl = B.finish b in
          let opt, _ = Netlist_opt.optimize nl in
-         match Formal.check_equivalence ~max_cycles:6 nl opt with
-         | Formal.Equivalent | Formal.Bounded_equivalent _ -> true
-         | Formal.Different _ -> false
-         | Formal.Equiv_timeout -> true))
+         match Cec.check nl opt with
+         | Cec.Equivalent | Cec.Unknown -> true
+         | Cec.Inequivalent _ -> false))
 
 let () =
   Alcotest.run "netlist_opt"

@@ -329,6 +329,139 @@ let prop_intake_matches_list_oracle =
          && (nvars > 8 || r_raw = if brute_force nvars clauses then Sat.Sat else Sat.Unsat)
          && Sat.stats raw = Sat.stats pre))
 
+(* [Sat.reset] against [Sat.create]: one solver, reset between instances,
+   must give what a fresh solver per instance gives.  An instance is fed in
+   two halves with a solve after each, so learned clauses, saved phases and
+   a spent budget from the first solve carry into the second.  The fresh
+   side uses the list API one variable at a time; the reused side uses
+   [new_vars] and [add_clause_array], so this also checks that those match
+   [new_var] and [add_clause]. *)
+type instance = {
+  nvars : int;
+  first : int list list;
+  second : int list list;
+  assumptions : int list;
+  max_conflicts : int option;
+}
+
+type observation = {
+  o_results : Sat.result list;
+  o_raised : int;  (* clauses refused with [Invalid_argument] *)
+  o_stats : Sat.stats;
+  o_models : bool array option list;
+  o_dimacs : string;
+  o_sizes : int * int;
+}
+
+let feed s inst ~vars ~add =
+  vars s inst.nvars;
+  let raised = ref 0 in
+  let add_all =
+    List.iter (fun c -> try add s c with Invalid_argument _ -> incr raised)
+  in
+  let solve () =
+    let r = Sat.solve ~assumptions:inst.assumptions ?max_conflicts:inst.max_conflicts s in
+    (r, if r = Sat.Sat then Some (Sat.model s) else None)
+  in
+  add_all inst.first;
+  let r1, m1 = solve () in
+  add_all inst.second;
+  let r2, m2 = solve () in
+  {
+    o_results = [ r1; r2 ];
+    o_raised = !raised;
+    o_stats = Sat.stats s;
+    o_models = [ m1; m2 ];
+    o_dimacs = Sat.to_dimacs s;
+    o_sizes = (Sat.num_vars s, Sat.num_clauses s);
+  }
+
+let fresh_run inst =
+  feed (Sat.create ()) inst
+    ~vars:(fun s n ->
+      for _ = 1 to n do
+        ignore (Sat.new_var s)
+      done)
+    ~add:Sat.add_clause
+
+let reused_run s inst =
+  Sat.reset s;
+  feed s inst
+    ~vars:(fun s n -> ignore (Sat.new_vars s n))
+    ~add:(fun s c -> Sat.add_clause_array s (Array.of_list c))
+
+let pigeonhole_clauses ~pigeons ~holes =
+  let x p h = (p * holes) + h + 1 in
+  List.init pigeons (fun p -> List.init holes (x p))
+  @ List.concat
+      (List.init holes (fun h ->
+           List.concat
+             (List.init pigeons (fun p1 ->
+                  List.init (pigeons - p1 - 1) (fun k -> [ -x p1 h; -x (p1 + 1 + k) h ])))))
+
+(* The three endings the differential must cover, whatever the random
+   instances around them do.  The budget is large enough for a restart,
+   so the cumulative restart count is compared too. *)
+let root_unsat =
+  { nvars = 3; first = [ [ 1; 2 ]; [ 3 ]; [ -3 ] ]; second = [ [ -1; 2 ] ]; assumptions = [];
+    max_conflicts = None }
+
+let budget_unknown =
+  { nvars = 42; first = pigeonhole_clauses ~pigeons:7 ~holes:6; second = [];
+    assumptions = []; max_conflicts = Some 150 }
+
+let raised_unknown_var =
+  { nvars = 4; first = [ [ 1; -2 ]; [ 2; 5; 3 ]; [ -4; 0 ] ]; second = [ [ 3; 4 ]; [ -1 ] ];
+    assumptions = [ 3 ]; max_conflicts = None }
+
+let gen_instance =
+  QCheck.Gen.(
+    int_range 3 12 >>= fun nvars ->
+    let gen_lit = int_range 1 nvars >>= fun v -> oneofl [ v; -v ] in
+    let gen_clauses = list_size (int_range 0 25) (list_size (int_range 1 4) gen_lit) in
+    gen_clauses >>= fun first ->
+    gen_clauses >>= fun second ->
+    list_size (int_range 0 2) gen_lit >>= fun assumptions ->
+    opt ~ratio:0.3 (int_range 0 8) >>= fun max_conflicts ->
+    return { nvars; first; second; assumptions; max_conflicts })
+
+let arb_sessions =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 4) gen_instance >>= fun random ->
+      shuffle_l ([ root_unsat; budget_unknown; raised_unknown_var ] @ random))
+  in
+  let print_clauses cs =
+    String.concat "; " (List.map (fun c -> String.concat "," (List.map string_of_int c)) cs)
+  in
+  QCheck.make
+    ~print:(fun insts ->
+      String.concat "\n"
+        (List.map
+           (fun i ->
+             Printf.sprintf "vars=%d first=[%s] second=[%s] assume=[%s] budget=%s" i.nvars
+               (print_clauses i.first) (print_clauses i.second)
+               (String.concat "," (List.map string_of_int i.assumptions))
+               (match i.max_conflicts with Some b -> string_of_int b | None -> "-"))
+           insts))
+    gen
+
+let test_reset_endings () =
+  let fresh = List.map fresh_run [ root_unsat; budget_unknown; raised_unknown_var ] in
+  let results = List.map (fun o -> List.nth o.o_results 1) fresh in
+  Alcotest.(check (list string)) "endings" [ "unsat"; "unknown"; "sat" ]
+    (List.map Sat.result_name results);
+  Alcotest.(check bool) "budget run restarted" true
+    ((List.nth fresh 1).o_stats.Sat.restarts > 0);
+  Alcotest.(check int) "unknown variables refused" 2 (List.nth fresh 2).o_raised
+
+let prop_reset_is_create =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"reset solver matches a fresh solver" arb_sessions
+       (fun insts ->
+         let s = Sat.create () in
+         List.for_all (fun inst -> reused_run s inst = fresh_run inst) insts))
+
 let () =
   Alcotest.run "sat"
     [
@@ -345,8 +478,14 @@ let () =
           Alcotest.test_case "conflict budget" `Quick test_budget;
           Alcotest.test_case "xor chain" `Quick test_xor_chain;
           Alcotest.test_case "dimacs export" `Quick test_dimacs;
+          Alcotest.test_case "reset differential endings" `Quick test_reset_endings;
         ] );
       ( "properties",
-        [ prop_matches_brute_force; prop_model_under_assumptions; prop_intake_matches_list_oracle ]
+        [
+          prop_matches_brute_force;
+          prop_model_under_assumptions;
+          prop_intake_matches_list_oracle;
+          prop_reset_is_create;
+        ]
       );
     ]

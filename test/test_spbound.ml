@@ -324,6 +324,41 @@ let test_subcommand_list () =
     Alcotest.(check (list string)) "Cmd.group matches the documented subcommand list"
       expected_subcommands got
 
+(* The EXIT STATUS section of a subcommand's --help: the lines between
+   that heading and the next one. *)
+let exit_status_section cli sub =
+  let tmp = Filename.temp_file "vega_help" ".txt" in
+  let rc =
+    Sys.command
+      (Printf.sprintf "%s %s --help=plain > %s 2> %s" (Filename.quote cli) sub
+         (Filename.quote tmp) Filename.null)
+  in
+  Alcotest.(check int) (sub ^ " --help exits 0") 0 rc;
+  let lines = String.split_on_char '\n' (read_file tmp) in
+  Sys.remove tmp;
+  let rec drop = function [] -> [] | "EXIT STATUS" :: rest -> rest | _ :: rest -> drop rest in
+  let rec take = function
+    | line :: rest when line = "" || line.[0] = ' ' -> line :: take rest
+    | _ -> []
+  in
+  take (drop lines)
+
+(* --help documents the codes the binary really exits with (0/1/2/3, with
+   cmdliner's parse-error 124 mapped to 2), not cmdliner's defaults. *)
+let test_help_exit_codes () =
+  match cli_path () with
+  | None -> Alcotest.skip ()
+  | Some cli ->
+    List.iter
+      (fun sub ->
+        let codes =
+          List.filter_map
+            (fun line -> Scanf.sscanf_opt line " %d %_s" Fun.id)
+            (exit_status_section cli sub)
+        in
+        Alcotest.(check (list int)) (sub ^ " --help EXIT STATUS codes") [ 0; 1; 2; 3; 125 ] codes)
+      expected_subcommands
+
 (* Degenerate input to every subcommand: each row must end in its
    documented exit code (2 usage, 3 runtime) with a short stderr message
    naming the problem, never an uncaught exception or a backtrace. *)
@@ -417,6 +452,7 @@ let () =
         [
           Alcotest.test_case "static report matches golden" `Quick test_golden_static_report;
           Alcotest.test_case "subcommand list is complete" `Quick test_subcommand_list;
+          Alcotest.test_case "help lists the real exit codes" `Quick test_help_exit_codes;
           Alcotest.test_case "degenerate arguments exit cleanly" `Quick
             test_degenerate_arguments;
         ] );

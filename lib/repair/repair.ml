@@ -266,10 +266,6 @@ let sweep_dead nl =
     Netlist.Builder.finish b
   end
 
-let lint_codes nl =
-  List.sort_uniq compare
-    (List.map (fun d -> Check.code_id d.Check.code) (Check.lint_netlist nl))
-
 (* ------------------------------------------------------------------ *)
 (* Name-keyed SP view                                                  *)
 
@@ -763,6 +759,19 @@ let error_rate ~seed ~cycles ref_nl cand_nl =
 (* ------------------------------------------------------------------ *)
 (* Run state                                                           *)
 
+type pair = Sta.startpoint * Sta.endpoint * Sta.check
+
+(* The exact aged slack of every register pair of one netlist version:
+   [Sta.endpoint_pairs] under [tb_timing], with a by-pair lookup and the
+   violating subset in [Sta.violating_pairs] order (worst first). *)
+type table = {
+  tb_nl : Netlist.t;
+  tb_timing : Sta.timing_source;
+  tb_pairs : (Sta.startpoint * Sta.endpoint * Sta.check * float) list;
+  tb_slack : (pair, float) Hashtbl.t Lazy.t;
+  tb_violating : (Sta.startpoint * Sta.endpoint * Sta.check * float) list;
+}
+
 type state = {
   cfg : config;
   sp : sp_state;
@@ -781,6 +790,7 @@ type state = {
   mutable rejected : int;
   mutable cec_failures : int;
   mutable ledger : committed list;  (* newest first *)
+  mutable table : table option;  (* of [nl]; [None] until needed *)
   log : string -> unit;
 }
 
@@ -788,17 +798,52 @@ let timing_of st nl =
   Sta.aged_timing ~derate:st.derate ~clock_tree:st.clock_tree
     ~sp_of_net:(sp_view st.sp nl) ~years:st.years st.aglib
 
-let pair_slack st nl (s, e, c) =
-  match
-    Sta.pair_path ~timing:(timing_of st nl) ~clock_period_ps:st.clock_period_ps nl s e c
-  with
-  | Some p -> p.Sta.slack_ps
-  | None -> infinity
+let pair_path st nl (s, e, c) =
+  Sta.pair_path ~timing:(timing_of st nl) ~clock_period_ps:st.clock_period_ps nl s e c
 
-let violating_map st nl =
-  List.map
-    (fun (s, e, c, slack) -> (Spbound.pair_key nl s e c, slack))
-    (Sta.violating_pairs ~timing:(timing_of st nl) ~clock_period_ps:st.clock_period_ps nl)
+(* Time [nl] in full, or from [parent]'s table when [nl] is a candidate
+   edit of the parent's netlist — only the endpoints the edit reaches are
+   re-timed, and the table is the same as a full sweep's, bit for bit. *)
+let build_table ?parent st nl =
+  let timing = timing_of st nl and clock_period_ps = st.clock_period_ps in
+  let tele = Telemetry.enabled () in
+  if tele then Telemetry.begin_span ~cat:"repair" "repair.retime";
+  let total = List.length (Netlist.dffs nl) in
+  let retimed = ref total in
+  let pairs =
+    match parent with
+    | None -> Sta.endpoint_pairs ~timing ~clock_period_ps nl
+    | Some p ->
+        Sta.retime_pairs
+          ~on_retime:(fun ~retimed:r ~total:_ -> retimed := r)
+          ~parent:(p.tb_nl, p.tb_timing, p.tb_pairs) ~timing ~clock_period_ps nl
+  in
+  if tele then
+    Telemetry.end_span
+      ~args:
+        [ ("endpoints_retimed", Telemetry.Int !retimed); ("endpoints_total", Telemetry.Int total) ]
+      ();
+  {
+    tb_nl = nl;
+    tb_timing = timing;
+    tb_pairs = pairs;
+    tb_slack =
+      lazy
+        (let h = Hashtbl.create 1024 in
+         List.iter (fun (s, e, c, slack) -> Hashtbl.replace h (s, e, c) slack) pairs;
+         h);
+    tb_violating =
+      List.filter (fun (_, _, _, slack) -> slack < 0.0) pairs
+      |> List.sort (fun (_, _, _, a) (_, _, _, b) -> Float.compare a b);
+  }
+
+let current_table st =
+  match st.table with
+  | Some t -> t
+  | None ->
+      let t = build_table st st.nl in
+      st.table <- Some t;
+      t
 
 (* ------------------------------------------------------------------ *)
 (* Candidate search along the extremal path                            *)
@@ -974,29 +1019,36 @@ let candidates st nl (path : Sta.path) =
 
 type accepted = {
   ac_nl : Netlist.t;
+  ac_table : table;
   ac_verification : verification;
   ac_slack_after : float;
   ac_cells_added : int;
 }
 
-let evaluate st pair slack_before viol_before edit =
+let evaluate st pair slack_before edit =
   try
     let cand, assigns = apply_edit (sp_view st.sp st.nl) st.nl ~seq:st.seq edit in
     List.iter (fun (n, s) -> Hashtbl.replace st.sp.sp_cell n s) assigns;
     let cleanup () = List.iter (fun (n, _) -> Hashtbl.remove st.sp.sp_cell n) assigns in
     (try
        (* gate 1: the pair's aged slack must strictly improve *)
-       let slack' = pair_slack st cand pair in
+       let slack' =
+         match pair_path st cand pair with Some p -> p.Sta.slack_ps | None -> infinity
+       in
        if not (slack' > slack_before +. 1e-6) then
          rejectf "no slack improvement (%.1f -> %.1f ps)" slack_before slack';
        (* gate 2: no collateral damage — the violating set must not gain
-          members and no member may get worse *)
+          members and no member may get worse.  Candidates keep every
+          cell id, so a pair is the same pair in both tables. *)
+       let before = current_table st in
+       let table = build_table ~parent:before st cand in
        List.iter
-         (fun (k, s') ->
-           match List.assoc_opt k viol_before with
-           | None -> rejectf "creates new violating pair %s" k
-           | Some s -> if s' < s -. 1e-6 then rejectf "worsens pair %s" k)
-         (violating_map st cand);
+         (fun (s, e, c, s') ->
+           match Hashtbl.find_opt (Lazy.force before.tb_slack) (s, e, c) with
+           | Some s0 when s0 < 0.0 ->
+               if s' < s0 -. 1e-6 then rejectf "worsens pair %s" (Spbound.pair_key cand s e c)
+           | _ -> rejectf "creates new violating pair %s" (Spbound.pair_key cand s e c))
+         table.tb_violating;
        (* gate 3: area budget over live cells *)
        let area' = live_area st.celllib cand in
        if area' > st.area0 *. (1.0 +. st.cfg.rp_max_area_frac) then
@@ -1043,6 +1095,7 @@ let evaluate st pair slack_before viol_before edit =
        Ok
          {
            ac_nl = cand;
+           ac_table = table;
            ac_verification = verification;
            ac_slack_after = slack';
            ac_cells_added = Netlist.num_cells cand - Netlist.num_cells st.nl;
@@ -1059,6 +1112,7 @@ let evaluate st pair slack_before viol_before edit =
 
 let commit st pkey rung edit acc slack_before =
   st.nl <- acc.ac_nl;
+  st.table <- Some acc.ac_table;
   st.ledger <-
     {
       cm_seq = st.seq;
@@ -1085,35 +1139,29 @@ let repair_one st pair pkey =
     if st.rewrites >= st.cfg.rp_max_rewrites then Some "rewrite budget exhausted"
     else if n >= st.cfg.rp_max_pair_edits then Some "per-pair edit cap reached"
     else
-      let slack = pair_slack st st.nl pair in
-      if slack >= 0.0 then None
-      else
-        let s, e, c = pair in
-        match
-          Sta.pair_path ~timing:(timing_of st st.nl)
-            ~clock_period_ps:st.clock_period_ps st.nl s e c
-        with
-        | None -> None
-        | Some path ->
-            let viol_before = violating_map st st.nl in
-            let cands = candidates st st.nl path in
-            let rec try_cands reason = function
-              | [] -> `Stuck reason
-              | (rung, edit) :: rest -> (
-                  match evaluate st pair slack viol_before edit with
-                  | Ok acc -> `Committed (rung, edit, acc)
-                  | Error msg ->
-                      st.rejected <- st.rejected + 1;
-                      Telemetry.Counter.incr tele_rejected;
-                      st.log (Printf.sprintf "  reject %s: %s" (describe_edit edit) msg);
-                      try_cands (Some msg) rest)
-            in
-            (match try_cands last_reason cands with
-            | `Stuck r ->
-                Some (Option.value r ~default:"no applicable rewrite on the critical path")
-            | `Committed (rung, edit, acc) ->
-                commit st pkey rung edit acc slack;
-                go (n + 1) None)
+      match pair_path st st.nl pair with
+      | None -> None
+      | Some path when path.Sta.slack_ps >= 0.0 -> None
+      | Some path ->
+        let slack = path.Sta.slack_ps in
+        let cands = candidates st st.nl path in
+        let rec try_cands reason = function
+          | [] -> `Stuck reason
+          | (rung, edit) :: rest -> (
+              match evaluate st pair slack edit with
+              | Ok acc -> `Committed (rung, edit, acc)
+              | Error msg ->
+                  st.rejected <- st.rejected + 1;
+                  Telemetry.Counter.incr tele_rejected;
+                  st.log (Printf.sprintf "  reject %s: %s" (describe_edit edit) msg);
+                  try_cands (Some msg) rest)
+        in
+        (match try_cands last_reason cands with
+        | `Stuck r ->
+            Some (Option.value r ~default:"no applicable rewrite on the critical path")
+        | `Committed (rung, edit, acc) ->
+            commit st pkey rung edit acc slack;
+            go (n + 1) None)
   in
   go 0 None
 
@@ -1144,7 +1192,8 @@ let replay_pair st pkey edits_json =
         :: st.ledger;
       st.seq <- st.seq + 1;
       st.rewrites <- st.rewrites + 1)
-    edits_json
+    edits_json;
+  if edits_json <> [] then st.table <- None
 
 let digest cfg nl ~clock_period_ps ~years =
   Resilience.digest_of_strings
@@ -1169,7 +1218,8 @@ let digest cfg nl ~clock_period_ps ~years =
 let run ?(config = default_config) ?checkpoint ?(log = fun _ -> ()) ~netlist
     ~sp_of_net ~clock_period_ps ~years ~derate ~clock_tree ~aglib ~pairs () =
   Telemetry.with_span ~cat:"repair" "repair.run" @@ fun () ->
-  (match Check.errors (Check.lint_netlist netlist) with
+  let diags0 = Check.lint_netlist netlist in
+  (match Check.errors diags0 with
   | [] -> ()
   | d :: _ ->
       invalid_arg
@@ -1187,7 +1237,7 @@ let run ?(config = default_config) ?checkpoint ?(log = fun _ -> ()) ~netlist
       clock_period_ps;
       aglib;
       original = netlist;
-      codes0 = lint_codes netlist;
+      codes0 = List.map (fun d -> Check.code_id d.Check.code) diags0;
       area0 = live_area celllib netlist;
       nl = netlist;
       seq = 0;
@@ -1195,9 +1245,11 @@ let run ?(config = default_config) ?checkpoint ?(log = fun _ -> ()) ~netlist
       rejected = 0;
       cec_failures = 0;
       ledger = [];
+      table = None;
       log;
     }
   in
+  ignore (current_table st);
   let resumed = ref 0 in
   let worked =
     List.mapi
@@ -1254,11 +1306,14 @@ let run ?(config = default_config) ?checkpoint ?(log = fun _ -> ()) ~netlist
   in
   (* statuses are judged against the final netlist so later pairs' edits
      (which the gate guarantees never hurt) are reflected everywhere *)
+  let final_slack = Lazy.force (current_table st).tb_slack in
   let outcomes =
     List.map
       (fun (pair, pkey, slack0, edits, reason) ->
         let _, _, c = pair in
-        let slack_after = pair_slack st st.nl pair in
+        let slack_after =
+          Option.value (Hashtbl.find_opt final_slack pair) ~default:infinity
+        in
         let status =
           if slack_after >= 0.0 then Repaired
           else if slack_after > slack0 +. 1e-6 then Improved

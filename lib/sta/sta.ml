@@ -350,6 +350,111 @@ let endpoint_pairs ?(constrain_inputs = false) ?(skip = fun _ _ _ -> false) ~tim
   for_check Hold;
   List.rev !results
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* [Some affected] (by cell id) when [nl] extends [nl0] under the same
+   clocks and register timing, [None] when only a full sweep is exact.
+   A cell is changed when it is new or its kind, inputs, domain or delays
+   differ; an endpoint is affected when it is changed or a changed cell's
+   output reaches its register combinationally.  Every other endpoint's
+   fan-in cone consists of unchanged cells reading unchanged nets, and
+   each of its startpoints launches as before, so its DP — and each of
+   its pair slacks — is the parent's, bit for bit. *)
+let affected_endpoints ~nl0 ~timing0 ~timing nl =
+  let n0 = Netlist.num_cells nl0 and n = Netlist.num_cells nl in
+  let cells0 = Netlist.cells nl0 and cells = Netlist.cells nl in
+  let extends =
+    n >= n0
+    &&
+    let rec same i =
+      i >= n0
+      || String.equal cells.(i).name cells0.(i).name
+         && cells.(i).output = cells0.(i).output
+         && same (i + 1)
+    in
+    same 0
+  in
+  let d = timing.dff_timing and d0 = timing0.dff_timing in
+  let same_regs =
+    same_bits d.Cell.clk_to_q_min_ps d0.Cell.clk_to_q_min_ps
+    && same_bits d.Cell.clk_to_q_max_ps d0.Cell.clk_to_q_max_ps
+    && same_bits d.Cell.setup_ps d0.Cell.setup_ps
+    && same_bits d.Cell.hold_ps d0.Cell.hold_ps
+  in
+  let same_clocks () =
+    List.sort_uniq Int.compare (List.map (fun id -> cells.(id).clock_domain) (Netlist.dffs nl))
+    |> List.for_all (fun dom ->
+           same_bits (timing.clock_arrival_ps dom) (timing0.clock_arrival_ps dom))
+  in
+  if not (extends && same_regs && same_clocks ()) then None
+  else begin
+    (* a register launches from its clock and [dff_timing] alone, so
+       new D wiring re-times it as an endpoint but not its readers *)
+    let launches_anew (c : Netlist.cell) =
+      c.id >= n0
+      ||
+      let c0 = cells0.(c.id) in
+      c.kind <> c0.kind || c.clock_domain <> c0.clock_domain
+      || (not (Cell.Kind.is_sequential c.kind))
+         &&
+         let t = timing.cell_delay c and t0 = timing0.cell_delay c0 in
+         not
+           (same_bits t.Cell.tpd_max_ps t0.Cell.tpd_max_ps
+           && same_bits t.Cell.tpd_min_ps t0.Cell.tpd_min_ps)
+    in
+    let rewired (c : Netlist.cell) = c.id < n0 && c.inputs <> cells0.(c.id).inputs in
+    let affected = Array.make n false and seen = Array.make n false in
+    let rec reach net =
+      List.iter
+        (fun rid ->
+          if Cell.Kind.is_sequential cells.(rid).kind then affected.(rid) <- true
+          else if not seen.(rid) then begin
+            seen.(rid) <- true;
+            reach cells.(rid).output
+          end)
+        (Netlist.readers nl net)
+    in
+    Array.iter
+      (fun (c : Netlist.cell) ->
+        if Cell.Kind.is_sequential c.kind then begin
+          let anew = launches_anew c in
+          if anew || rewired c then affected.(c.id) <- true;
+          if anew then reach c.output
+        end
+        else if rewired c || launches_anew c then reach c.output)
+      cells;
+    Some affected
+  end
+
+let retime_pairs ?(on_retime = fun ~retimed:_ ~total:_ -> ()) ~parent:(nl0, timing0, pairs0)
+    ~timing ~clock_period_ps nl =
+  let eps = Netlist.dffs nl in
+  let total = List.length eps in
+  match affected_endpoints ~nl0 ~timing0 ~timing nl with
+  | None ->
+    on_retime ~retimed:total ~total;
+    endpoint_pairs ~timing ~clock_period_ps nl
+  | Some affected ->
+    on_retime ~retimed:(List.length (List.filter (fun e -> affected.(e)) eps)) ~total;
+    (* both lists hold one contiguous block per (check, endpoint); cut
+       them into blocks, then emit the blocks in [endpoint_pairs] order *)
+    let n = Netlist.num_cells nl in
+    let slot chk e = match chk with Setup -> e | Hold -> n + e in
+    let blocks pairs =
+      let a = Array.make (2 * n) [] in
+      List.iter (fun ((_, At_dff e, chk, _) as p) -> a.(slot chk e) <- p :: a.(slot chk e)) pairs;
+      a
+    in
+    let parent = blocks pairs0 in
+    let skip _ (At_dff e) _ = not affected.(e) in
+    let fresh = blocks (endpoint_pairs ~skip ~timing ~clock_period_ps nl) in
+    List.concat_map
+      (fun chk ->
+        List.concat_map
+          (fun e -> List.rev (if affected.(e) then fresh else parent).(slot chk e))
+          eps)
+      [ Setup; Hold ]
+
 let violating_pairs ?constrain_inputs ?skip ~timing ~clock_period_ps nl =
   endpoint_pairs ?constrain_inputs ?skip ~timing ~clock_period_ps nl
   |> List.filter (fun (_, _, _, slack) -> slack < 0.0)

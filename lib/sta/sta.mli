@@ -113,6 +113,34 @@ val endpoint_pairs :
     costs nothing.  {!Check.Spbound} uses this to prune statically-safe
     pairs from the phase-1 sweep. *)
 
+val retime_pairs :
+  ?on_retime:(retimed:int -> total:int -> unit) ->
+  parent:Netlist.t * timing_source * (startpoint * endpoint * check * float) list ->
+  timing:timing_source ->
+  clock_period_ps:float ->
+  Netlist.t ->
+  (startpoint * endpoint * check * float) list
+(** [retime_pairs ~parent:(nl0, timing0, pairs0) ~timing ~clock_period_ps nl]
+    is exactly [endpoint_pairs ~timing ~clock_period_ps nl] — the same
+    list in the same order, every slack bit-identical — computed by
+    re-timing only the endpoints an edit of [nl0] can reach.
+    Precondition: [pairs0] is [endpoint_pairs ~timing:timing0
+    ~clock_period_ps nl0] (no [skip], inputs unconstrained).
+
+    [nl] must extend [nl0] the way {!Netlist.Builder.of_netlist} does:
+    the first [num_cells nl0] cells keep their ids, names and output
+    nets.  Otherwise, or when [timing] and [timing0] differ in register
+    timing or in the clock arrival of a register's domain, this is a full
+    {!endpoint_pairs} sweep.  A cell is {e changed} when it is new, when
+    its kind, inputs or clock domain differ, or when [timing] and
+    [timing0] give it different delays; the {e affected} endpoints are
+    the changed registers plus every register a changed cell's output
+    reaches combinationally.  Affected endpoints are re-timed through
+    [endpoint_pairs ~skip]; every other endpoint keeps the parent's
+    block, because its fan-in cone is made of unchanged cells.
+    [on_retime] receives the number of endpoints re-timed and the
+    endpoint total. *)
+
 val violating_pairs :
   ?constrain_inputs:bool ->
   ?skip:(startpoint -> endpoint -> check -> bool) ->

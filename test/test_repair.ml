@@ -331,6 +331,75 @@ let test_golden_vcd_repaired_alu () =
   let expected = read_file (golden_path "repair_alu8.vcd") in
   Alcotest.(check string) "byte-for-byte vs golden/repair_alu8.vcd" expected via_simc
 
+(* ---------- checkpoint resume ---------- *)
+
+let fresh_dir () =
+  let f = Filename.temp_file "vega-repair" "" in
+  Sys.remove f;
+  f
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+(* A run killed part-way resumes to the uninterrupted result: the
+   resumed run replays the stored pairs' edits, times the replayed
+   netlist afresh, and repairs the remaining pairs live.  Killed before
+   the pair of the fifth commit, the resumed run both replays and
+   commits; killed after the pair of the last commit, every commit is
+   replayed and the outcomes are read from the re-timed replay alone. *)
+let test_resume_fpu () =
+  let nl = (Lift.fpu_target ()).Lift.netlist in
+  let clock_period_ps = close_clock nl in
+  let pairs = Sta.violating_pairs ~timing:aged_timing ~clock_period_ps nl in
+  let config = { Repair.default_config with Repair.rp_max_rewrites = 8; rp_max_pair_edits = 2 } in
+  let digest = Repair.digest config nl ~clock_period_ps ~years in
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let run resume =
+        match Resilience.Checkpoint.open_dir ~resume ~dir ~digest () with
+        | Error msg -> Alcotest.failf "checkpoint open failed: %s" msg
+        | Ok checkpoint ->
+          Repair.run ~config ~checkpoint ~netlist:nl ~sp_of_net ~clock_period_ps ~years ~derate
+            ~clock_tree:tree ~aglib ~pairs ()
+      in
+      let full = run false in
+      let ledger = full.Repair.rs_ledger in
+      if List.length ledger < 5 then Alcotest.fail "fewer than five commits: nothing to resume";
+      (* the number of pairs up to and including the one of [commit] *)
+      let through (commit : Repair.committed) =
+        let rec go i = function
+          | [] -> Alcotest.fail "committed pair has no outcome"
+          | (o : Repair.pair_outcome) :: rest ->
+            if o.Repair.po_pair = commit.Repair.cm_pair then i + 1 else go (i + 1) rest
+        in
+        go 0 full.Repair.rs_outcomes
+      in
+      let kill_and_resume what kept =
+        let items = Filename.concat dir "items" in
+        List.iteri
+          (fun i f -> if i >= kept then Sys.remove (Filename.concat items f))
+          (List.sort compare (Array.to_list (Sys.readdir items)));
+        let resumed = run true in
+        let check name ok = Alcotest.(check bool) (what ^ ": " ^ name) true ok in
+        Alcotest.(check int) (what ^ ": pairs replayed") kept resumed.Repair.rs_resumed_pairs;
+        check "outcomes" (full.Repair.rs_outcomes = resumed.Repair.rs_outcomes);
+        check "ledger" (ledger = resumed.Repair.rs_ledger);
+        check "rejected" (full.Repair.rs_rejected = resumed.Repair.rs_rejected);
+        check "final netlist"
+          (Resilience.netlist_digest full.Repair.rs_netlist
+          = Resilience.netlist_digest resumed.Repair.rs_netlist)
+      in
+      kill_and_resume "before the fifth commit's pair" (through (List.nth ledger 4) - 1);
+      let last = List.nth ledger (List.length ledger - 1) in
+      kill_and_resume "after the last commit's pair" (through last))
+
 (* ---------- the CLI golden report ---------- *)
 
 let cli_path () =
@@ -371,6 +440,8 @@ let () =
             test_three_engine_fpu;
           Alcotest.test_case "golden vcd on repaired alu8" `Quick test_golden_vcd_repaired_alu;
         ] );
+      ( "resume",
+        [ Alcotest.test_case "killed fpu16 run resumes identically" `Quick test_resume_fpu ] );
       ( "cli",
         [ Alcotest.test_case "golden repair report" `Quick test_golden_cli_report ] );
     ]

@@ -828,6 +828,249 @@ let test_delay_once_per_cell () =
           ignore (Sta.pair_path ~timing ~clock_period_ps nl s e k)))
     (Lazy.force kernel_units)
 
+(* ---------- incremental re-timing ---------- *)
+
+module B = Netlist.Builder
+
+let retime_kinds =
+  Cell.Kind.[| Buf; Not; And2; Or2; Xor2; Nand2; Nor2; Xnor2; Mux2 |]
+
+(* One netlist version: the netlist plus, per net, the SP that sets its
+   driver's aged max delay and a factor on its fresh min delay (aged
+   timing leaves min delays alone; the factor lets an edit move one
+   without the other).  Registers sit in both domains of a gated tree,
+   so launch and capture clocks differ between pairs. *)
+type version = { v_nl : Netlist.t; v_sp : float array; v_min : float array }
+
+let retime_tree = Clock_tree.two_domain_gated ~sp_gated:0.05 ()
+
+let version_timing ?(clock_tree = retime_tree) v =
+  let aged = Sta.aged_timing ~clock_tree ~sp_of_net:(fun n -> v.v_sp.(n)) ~years:10.0 aglib_c28 in
+  let cell_delay (c : Netlist.cell) =
+    let d = aged.Sta.cell_delay c in
+    { d with Cell.tpd_min_ps = d.Cell.tpd_min_ps *. v.v_min.(c.output) }
+  in
+  { aged with Sta.cell_delay }
+
+(* Random sequential netlist: cells read earlier nets, then some
+   registers are fed back from later ones.  [rename] gives cell [i] a
+   different instance name and nothing else. *)
+let random_version ?rename rng =
+  let b = B.create "retime" in
+  let pool = ref (Array.to_list (B.add_input b "in" (1 + Random.State.int rng 4))) in
+  let pick () = List.nth !pool (Random.State.int rng (List.length !pool)) in
+  let regs = ref [] in
+  for i = 0 to 5 + Random.State.int rng 30 do
+    let name = Printf.sprintf (if rename = Some i then "renamed%d" else "c%d") i in
+    let out =
+      if Random.State.int rng 3 = 0 then begin
+        let id, q =
+          B.add_cell_with_id ~name ~clock_domain:(Random.State.int rng 2) b Cell.Kind.Dff
+            [| pick () |]
+        in
+        regs := id :: !regs;
+        q
+      end
+      else
+        let k = retime_kinds.(Random.State.int rng (Array.length retime_kinds)) in
+        B.add_cell ~name b k (Array.init (Cell.Kind.arity k) (fun _ -> pick ()))
+    in
+    pool := out :: !pool
+  done;
+  List.iter
+    (fun id -> if Random.State.bool rng then B.rewire_input b ~cell_id:id ~pin:0 (pick ()))
+    !regs;
+  B.add_output b "out" [| pick () |];
+  let nl = B.finish b in
+  let per_net f = Array.init (Netlist.num_nets nl) (fun _ -> f ()) in
+  let v_sp = per_net (fun () -> Random.State.float rng 1.0) in
+  { v_nl = nl; v_sp; v_min = per_net (fun () -> 0.5 +. Random.State.float rng 1.0) }
+
+(* One random Builder edit of the kinds repair makes, or a delay change.
+   An edit the Builder refuses (a combinational cycle) leaves the version
+   as it was. *)
+let edit_version rng v =
+  let nl = v.v_nl in
+  let n = Netlist.num_cells nl and nn = Netlist.num_nets nl in
+  let cell () = Netlist.cell nl (Random.State.int rng n) in
+  let net () = Random.State.int rng nn in
+  let pin (c : Netlist.cell) = Random.State.int rng (max 1 (Array.length c.inputs)) in
+  let built f =
+    let b = B.of_netlist nl in
+    match
+      f b;
+      B.finish b
+    with
+    | nl' ->
+      let extend a = Array.init (Netlist.num_nets nl') (fun i -> if i < nn then a.(i) else 1.0) in
+      { v_nl = nl'; v_sp = extend v.v_sp; v_min = extend v.v_min }
+    | exception Invalid_argument _ -> v
+  in
+  let set a =
+    let a = Array.copy a in
+    a.((cell ()).output) <- 0.5 +. Random.State.float rng 1.0;
+    a
+  in
+  match Random.State.int rng 6 with
+  | 0 ->
+    (* rewire a pin *)
+    let c = cell () in
+    if Array.length c.inputs = 0 then v
+    else built (fun b -> B.rewire_input b ~cell_id:c.id ~pin:(pin c) (net ()))
+  | 1 ->
+    (* a new cell in front of a reader *)
+    let c = cell () in
+    if Array.length c.inputs = 0 then v
+    else
+      built (fun b ->
+          let p = pin c in
+          let k = retime_kinds.(Random.State.int rng (Array.length retime_kinds)) in
+          let ins =
+            Array.init (Cell.Kind.arity k) (fun i -> if i = 0 then c.inputs.(p) else net ())
+          in
+          B.rewire_input b ~cell_id:c.id ~pin:p (B.add_cell b k ins))
+  | 2 ->
+    (* set_kind to another kind of the same arity *)
+    let c = cell () in
+    let same =
+      List.filter
+        (fun k -> Cell.Kind.arity k = Array.length c.inputs && k <> c.kind)
+        (Array.to_list retime_kinds)
+    in
+    if Cell.Kind.is_sequential c.kind || same = [] then v
+    else
+      let k = List.nth same (Random.State.int rng (List.length same)) in
+      built (fun b -> B.set_kind b ~cell_id:c.id k)
+  | 3 ->
+    (* a new register, read by some cell *)
+    built (fun b ->
+        let q = B.add_cell ~clock_domain:(Random.State.int rng 2) b Cell.Kind.Dff [| net () |] in
+        let c = cell () in
+        if Array.length c.inputs > 0 then B.rewire_input b ~cell_id:c.id ~pin:(pin c) q)
+  | 4 -> { v with v_sp = set v.v_sp }  (* one cell's SP: its max delay *)
+  | _ -> { v with v_min = set v.v_min }  (* one cell's min delay *)
+
+let retime_period = 600.0
+let full_pairs ?clock_tree v =
+  Sta.endpoint_pairs ~timing:(version_timing ?clock_tree v) ~clock_period_ps:retime_period v.v_nl
+
+(* [retime_pairs] from [parent] (whose table is [pairs0]), with the
+   endpoint counts it reports. *)
+let retime ?clock_tree ~parent:(p, pairs0) v =
+  let counts = ref (-1, -1) in
+  let pairs =
+    Sta.retime_pairs
+      ~on_retime:(fun ~retimed ~total -> counts := (retimed, total))
+      ~parent:(p.v_nl, version_timing p, pairs0)
+      ~timing:(version_timing ?clock_tree v) ~clock_period_ps:retime_period v.v_nl
+  in
+  (pairs, !counts)
+
+let version_gen = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000)
+
+(* A chain of edits re-timed table to table, as repair does, plus the
+   cases that must fall back to a full sweep: a parent with more cells, a
+   renamed cell, and a different clock tree. *)
+let prop_retime_equals_sweep =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"retime_pairs = endpoint_pairs, order included"
+       version_gen
+       (fun seed ->
+         let rng = Random.State.make [| 0x7e71; seed |] in
+         let v0 = random_version rng in
+         let check what v (got, (retimed, total)) =
+           let want = full_pairs v in
+           if not (all2 same_pair got want) then
+             QCheck.Test.fail_reportf "%s: %d pairs re-timed, %d swept" what (List.length got)
+               (List.length want);
+           if retimed < 0 || retimed > total || total <> List.length (Netlist.dffs v.v_nl) then
+             QCheck.Test.fail_reportf "%s: re-timed %d of %d endpoints" what retimed total
+         in
+         let rec chain k (v, pairs) =
+           if k = 0 then v
+           else begin
+             let v' = edit_version rng v in
+             let ((pairs', _) as r) = retime ~parent:(v, pairs) v' in
+             check (Printf.sprintf "edit %d" k) v' r;
+             chain (k - 1) (v', pairs')
+           end
+         in
+         let p0 = full_pairs v0 in
+         let vk = chain (1 + Random.State.int rng 4) (v0, p0) in
+         check "edits at once" vk (retime ~parent:(v0, p0) vk);
+         let falls_back what v r =
+           check what v r;
+           let retimed, total = snd r in
+           if retimed <> total then QCheck.Test.fail_reportf "%s: no full sweep" what
+         in
+         if Netlist.num_cells vk.v_nl > Netlist.num_cells v0.v_nl then
+           falls_back "parent with more cells" v0 (retime ~parent:(vk, full_pairs vk) v0);
+         let rng' = Random.State.make [| 0x7e71; seed |] in
+         let renamed = random_version ~rename:(Random.State.int rng 6) rng' in
+         falls_back "renamed cell" renamed (retime ~parent:(v0, p0) renamed);
+         (* the new tree moves only the gated domain's clock *)
+         let clock_tree = Clock_tree.two_domain_gated ~sp_gated:0.9 () in
+         let r = retime ~clock_tree ~parent:(v0, p0) v0 in
+         if not (all2 same_pair (fst r) (full_pairs ~clock_tree v0)) then
+           QCheck.Test.fail_reportf "new clock tree: pairs differ from a sweep";
+         let gated = List.exists (fun id -> (Netlist.cell v0.v_nl id).clock_domain = 1) in
+         if gated (Netlist.dffs v0.v_nl) && fst (snd r) <> snd (snd r) then
+           QCheck.Test.fail_reportf "new clock tree: no full sweep";
+         true))
+
+(* Every table slack is [pair_path]'s slack bit for bit, and a pair is
+   missing exactly when [pair_path] finds no path. *)
+let prop_retime_matches_pair_path =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:150 ~name:"re-timed slacks = pair_path slacks"
+       version_gen
+       (fun seed ->
+         let rng = Random.State.make [| 0x9a7; seed |] in
+         let v0 = random_version rng in
+         let v = edit_version rng (edit_version rng v0) in
+         let table, _ = retime ~parent:(v0, full_pairs v0) v in
+         let timing = version_timing v and dffs = Netlist.dffs v.v_nl in
+         List.for_all
+           (fun chk ->
+             List.for_all
+               (fun e ->
+                 List.for_all
+                   (fun s ->
+                     let start = Sta.From_dff s and finish = Sta.At_dff e in
+                     let entry =
+                       List.find_map
+                         (fun (s', e', c', x) ->
+                           if s' = start && e' = finish && c' = chk then Some x else None)
+                         table
+                     in
+                     let path =
+                       Sta.pair_path ~timing ~clock_period_ps:retime_period v.v_nl start finish chk
+                     in
+                     match (entry, path) with
+                     | None, None -> true
+                     | Some x, Some p -> same_float x p.Sta.slack_ps
+                     | _ -> QCheck.Test.fail_reportf "pair %d -> %d in one view only" s e)
+                   dffs)
+               dffs)
+           [ Sta.Setup; Sta.Hold ]))
+
+(* A buffer in front of one register's D pin re-times that register
+   alone, and the table still equals a full sweep. *)
+let test_retime_one_endpoint () =
+  let nl = Alu.netlist ~width:8 () in
+  let flat nl = Array.make (Netlist.num_nets nl) 0.5 in
+  let v = { v_nl = nl; v_sp = flat nl; v_min = flat nl } in
+  let ep = List.hd (Netlist.dffs nl) in
+  let b = B.of_netlist nl in
+  let d = (Netlist.cell nl ep).inputs.(0) in
+  B.rewire_input b ~cell_id:ep ~pin:0 (B.add_cell b Cell.Kind.Buf [| d |]);
+  let nl' = B.finish b in
+  let v' = { v_nl = nl'; v_sp = flat nl'; v_min = flat nl' } in
+  let pairs, (retimed, total) = retime ~parent:(v, full_pairs v) v' in
+  Alcotest.(check int) "endpoints re-timed" 1 retimed;
+  Alcotest.(check int) "endpoint total" (List.length (Netlist.dffs nl')) total;
+  Alcotest.(check bool) "table = full sweep" true (all2 same_pair pairs (full_pairs v'))
+
 let () =
   Alcotest.run "sta"
     [
@@ -863,5 +1106,11 @@ let () =
         [
           prop_kernel_matches_oracle;
           Alcotest.test_case "one cell_delay per cell" `Quick test_delay_once_per_cell;
+        ] );
+      ( "retime",
+        [
+          prop_retime_equals_sweep;
+          prop_retime_matches_pair_path;
+          Alcotest.test_case "one edited endpoint re-timed" `Quick test_retime_one_endpoint;
         ] );
     ]

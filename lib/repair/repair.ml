@@ -808,8 +808,7 @@ let build_table ?parent st nl =
   let timing = timing_of st nl and clock_period_ps = st.clock_period_ps in
   let tele = Telemetry.enabled () in
   if tele then Telemetry.begin_span ~cat:"repair" "repair.retime";
-  let total = List.length (Netlist.dffs nl) in
-  let retimed = ref total in
+  let retimed = ref (-1) in
   let pairs =
     match parent with
     | None -> Sta.endpoint_pairs ~timing ~clock_period_ps nl
@@ -818,11 +817,13 @@ let build_table ?parent st nl =
           ~on_retime:(fun ~retimed:r ~total:_ -> retimed := r)
           ~parent:(p.tb_nl, p.tb_timing, p.tb_pairs) ~timing ~clock_period_ps nl
   in
-  if tele then
+  if tele then begin
+    let total = List.length (Netlist.dffs nl) in
+    let retimed = if !retimed < 0 then total else !retimed in
     Telemetry.end_span
-      ~args:
-        [ ("endpoints_retimed", Telemetry.Int !retimed); ("endpoints_total", Telemetry.Int total) ]
-      ();
+      ~args:[ ("endpoints_retimed", Telemetry.Int retimed); ("endpoints_total", Telemetry.Int total) ]
+      ()
+  end;
   {
     tb_nl = nl;
     tb_timing = timing;
@@ -1143,25 +1144,25 @@ let repair_one st pair pkey =
       | None -> None
       | Some path when path.Sta.slack_ps >= 0.0 -> None
       | Some path ->
-        let slack = path.Sta.slack_ps in
-        let cands = candidates st st.nl path in
-        let rec try_cands reason = function
-          | [] -> `Stuck reason
-          | (rung, edit) :: rest -> (
-              match evaluate st pair slack edit with
-              | Ok acc -> `Committed (rung, edit, acc)
-              | Error msg ->
-                  st.rejected <- st.rejected + 1;
-                  Telemetry.Counter.incr tele_rejected;
-                  st.log (Printf.sprintf "  reject %s: %s" (describe_edit edit) msg);
-                  try_cands (Some msg) rest)
-        in
-        (match try_cands last_reason cands with
-        | `Stuck r ->
-            Some (Option.value r ~default:"no applicable rewrite on the critical path")
-        | `Committed (rung, edit, acc) ->
-            commit st pkey rung edit acc slack;
-            go (n + 1) None)
+          let slack = path.Sta.slack_ps in
+          let cands = candidates st st.nl path in
+          let rec try_cands reason = function
+            | [] -> `Stuck reason
+            | (rung, edit) :: rest -> (
+                match evaluate st pair slack edit with
+                | Ok acc -> `Committed (rung, edit, acc)
+                | Error msg ->
+                    st.rejected <- st.rejected + 1;
+                    Telemetry.Counter.incr tele_rejected;
+                    st.log (Printf.sprintf "  reject %s: %s" (describe_edit edit) msg);
+                    try_cands (Some msg) rest)
+          in
+          (match try_cands last_reason cands with
+          | `Stuck r ->
+              Some (Option.value r ~default:"no applicable rewrite on the critical path")
+          | `Committed (rung, edit, acc) ->
+              commit st pkey rung edit acc slack;
+              go (n + 1) None)
   in
   go 0 None
 

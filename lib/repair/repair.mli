@@ -28,7 +28,12 @@
     Every exact rewrite is proved equivalent against the previous netlist
     with the {!Cec} miter before it is committed; a rewrite is also
     rejected if it worsens any other pair, exceeds the area budget, or
-    introduces a new lint code.  Committed edits form the {e rewrite
+    introduces a new lint code.  The pass keeps one exact all-pairs aged
+    slack table for its current netlist: one full sweep before the first
+    pair (and after a checkpoint replay), then, per candidate that
+    improves its pair, {!Sta.retime_pairs} re-times only the endpoints
+    the edit reaches; the committed candidate's table replaces the
+    current one, and the final outcomes are read from it.  Committed edits form the {e rewrite
     ledger}: an ordered list of reversible local edits with provenance,
     each replayable from its JSON encoding — the checkpoint/resume
     substrate and the reusable transformation IR.  After the ladder the

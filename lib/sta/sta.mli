@@ -133,9 +133,11 @@ val retime_pairs :
     timing or in the clock arrival of a register's domain, this is a full
     {!endpoint_pairs} sweep.  A cell is {e changed} when it is new, when
     its kind, inputs or clock domain differ, or when [timing] and
-    [timing0] give it different delays; the {e affected} endpoints are
-    the changed registers plus every register a changed cell's output
-    reaches combinationally.  Affected endpoints are re-timed through
+    [timing0] give a combinational cell different delays; the
+    {e affected} endpoints are the changed registers plus every register
+    a changed cell's output reaches combinationally (a register whose
+    only change is its D wiring launches as before, so its readers are
+    not affected by it).  Affected endpoints are re-timed through
     [endpoint_pairs ~skip]; every other endpoint keeps the parent's
     block, because its fan-in cone is made of unchanged cells.
     [on_retime] receives the number of endpoints re-timed and the

@@ -759,8 +759,6 @@ let error_rate ~seed ~cycles ref_nl cand_nl =
 (* ------------------------------------------------------------------ *)
 (* Run state                                                           *)
 
-type pair = Sta.startpoint * Sta.endpoint * Sta.check
-
 (* The exact aged slack of every register pair of one netlist version:
    [Sta.endpoint_pairs] under [tb_timing], with a by-pair lookup and the
    violating subset in [Sta.violating_pairs] order (worst first). *)
@@ -768,7 +766,7 @@ type table = {
   tb_nl : Netlist.t;
   tb_timing : Sta.timing_source;
   tb_pairs : (Sta.startpoint * Sta.endpoint * Sta.check * float) list;
-  tb_slack : (pair, float) Hashtbl.t Lazy.t;
+  tb_slack : (Sta.startpoint * Sta.endpoint * Sta.check, float) Hashtbl.t Lazy.t;
   tb_violating : (Sta.startpoint * Sta.endpoint * Sta.check * float) list;
 }
 
@@ -1041,11 +1039,12 @@ let evaluate st pair slack_before edit =
        (* gate 2: no collateral damage — the violating set must not gain
           members and no member may get worse.  Candidates keep every
           cell id, so a pair is the same pair in both tables. *)
-       let before = current_table st in
-       let table = build_table ~parent:before st cand in
+       let cur = current_table st in
+       let table = build_table ~parent:cur st cand in
+       let cur_slack = Lazy.force cur.tb_slack in
        List.iter
          (fun (s, e, c, s') ->
-           match Hashtbl.find_opt (Lazy.force before.tb_slack) (s, e, c) with
+           match Hashtbl.find_opt cur_slack (s, e, c) with
            | Some s0 when s0 < 0.0 ->
                if s' < s0 -. 1e-6 then rejectf "worsens pair %s" (Spbound.pair_key cand s e c)
            | _ -> rejectf "creates new violating pair %s" (Spbound.pair_key cand s e c))
@@ -1194,7 +1193,7 @@ let replay_pair st pkey edits_json =
       st.seq <- st.seq + 1;
       st.rewrites <- st.rewrites + 1)
     edits_json;
-  if edits_json <> [] then st.table <- None
+  st.table <- None
 
 let digest cfg nl ~clock_period_ps ~years =
   Resilience.digest_of_strings

@@ -436,8 +436,8 @@ let retime_pairs ?(on_retime = fun ~retimed:_ ~total:_ -> ()) ~parent:(nl0, timi
     endpoint_pairs ~timing ~clock_period_ps nl
   | Some affected ->
     on_retime ~retimed:(List.length (List.filter (fun e -> affected.(e)) eps)) ~total;
-    (* both lists hold one contiguous block per (check, endpoint); cut
-       them into blocks, then emit the blocks in [endpoint_pairs] order *)
+    (* bucket both lists by (check, endpoint), keeping each bucket's
+       order, then emit the buckets in [endpoint_pairs] order *)
     let n = Netlist.num_cells nl in
     let slot chk e = match chk with Setup -> e | Hold -> n + e in
     let blocks pairs =

@@ -699,19 +699,29 @@ let set_input_bit t ~lane port bit v =
 
 (* In profile mode the compile was conservative (slot = net for every
    net), so reading [state] directly here observes every net's value, as
-   the scalar Sim's counters do, lane by lane. *)
+   the scalar Sim's counters do, lane by lane.  A machine unit samples
+   lane 0 alone (mask 1), where each popcount is just the low bit. *)
 let sample_sp t =
   if Array.length t.ones > 0 then begin
     let m = t.active in
     let lanes_here = popcount m in
     if lanes_here > 0 then begin
       let count_toggles = t.cycles_sampled > 0 in
-      for n = 0 to t.num_nets - 1 do
-        let v = t.state.(n) in
-        t.ones.(n) <- t.ones.(n) + popcount (v land m);
-        if count_toggles then t.toggles.(n) <- t.toggles.(n) + popcount ((v lxor t.prev.(n)) land m);
-        t.prev.(n) <- v land m lor (t.prev.(n) land lnot m)
-      done;
+      if m = 1 then
+        for n = 0 to t.num_nets - 1 do
+          let v = t.state.(n) land 1 and p = t.prev.(n) in
+          t.ones.(n) <- t.ones.(n) + v;
+          if count_toggles then t.toggles.(n) <- t.toggles.(n) + (v lxor (p land 1));
+          t.prev.(n) <- v lor (p land lnot 1)
+        done
+      else
+        for n = 0 to t.num_nets - 1 do
+          let v = t.state.(n) in
+          t.ones.(n) <- t.ones.(n) + popcount (v land m);
+          if count_toggles then
+            t.toggles.(n) <- t.toggles.(n) + popcount ((v lxor t.prev.(n)) land m);
+          t.prev.(n) <- v land m lor (t.prev.(n) land lnot m)
+        done;
       t.lane_samples <- t.lane_samples + lanes_here;
       Telemetry.Counter.add tele_lane_samples lanes_here;
       if count_toggles then t.toggle_slots <- t.toggle_slots + lanes_here;

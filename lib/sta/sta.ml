@@ -74,8 +74,9 @@ let aged_timing ?(derate = 1.0) ?(clock_tree = Clock_tree.single_domain) ?toggle
    its DP touches; clock arrivals are taken once per domain.  The DP memo
    is one float array whose entries count only when stamped with the
    current cone's epoch, so starting the next endpoint's cone is one
-   increment.  Nothing outlives the call: fleet domains run calls
-   concurrently and repair edits the netlist between them. *)
+   increment; [incone] marks the nets of that cone with the same epoch.
+   Nothing outlives the call: fleet domains run calls concurrently and
+   repair edits the netlist between them. *)
 type kernel = {
   nl : Netlist.t;
   cells : Netlist.cell array;
@@ -86,6 +87,7 @@ type kernel = {
   mutable clocks : (int * float) list;
   memo : float array;
   stamp : int array;
+  incone : int array;
   mutable epoch : int;
 }
 
@@ -101,6 +103,7 @@ let kernel timing nl =
     clocks = [];
     memo = Array.make nn 0.0;
     stamp = Array.make nn 0;
+    incone = Array.make nn 0;
     epoch = 0;
   }
 
@@ -141,21 +144,38 @@ let slack chk ~required arrival =
 (* Start the backward DP towards [d_net], invalidating the previous cone:
    the returned function gives the max (setup) or min (hold)
    combinational delay from a net to [d_net], non-finite when no path
-   connects them. *)
+   connects them.  Its first call walks backward once over combinational
+   drivers, marking [d_net]'s fan-in cone: exactly the nets with a path
+   to [d_net], so a net outside it is answered at once, and a reader
+   whose output lies outside is skipped.  Such a reader's tail was
+   non-finite, adding nothing to the fold, so the float operations, their
+   order and the first-touch [cell_delay] calls are those of the unmarked
+   DP.  A cone that is never queried (every pair skipped) costs no walk. *)
 let cone k chk d_net =
   k.epoch <- k.epoch + 1;
   let epoch = k.epoch in
+  let rec mark net =
+    if k.incone.(net) <> epoch then begin
+      k.incone.(net) <- epoch;
+      match Netlist.driver k.nl net with
+      | Netlist.Driven_by_cell id when id >= 0 && not (Cell.Kind.is_sequential k.cells.(id).kind)
+        ->
+        Array.iter mark k.cells.(id).inputs
+      | Netlist.Driven_by_cell _ | Netlist.Driven_by_input _ -> ()
+    end
+  in
   let worse a b = match chk with Setup -> Float.max a b | Hold -> Float.min a b in
   let neutral = match chk with Setup -> neg_infinity | Hold -> infinity in
   let rec tail net =
-    if k.stamp.(net) = epoch then k.memo.(net)
+    if k.incone.(net) <> epoch then neutral
+    else if k.stamp.(net) = epoch then k.memo.(net)
     else begin
       let direct = if net = d_net then 0.0 else neutral in
       let through =
         List.fold_left
           (fun acc rid ->
             let g = k.cells.(rid) in
-            if Cell.Kind.is_sequential g.kind then acc
+            if Cell.Kind.is_sequential g.kind || k.incone.(g.output) <> epoch then acc
             else begin
               let t = tail g.output in
               if Float.is_finite t then worse acc (delay k chk rid +. t) else acc
@@ -168,7 +188,13 @@ let cone k chk d_net =
       d
     end
   in
-  tail
+  let marked = ref false in
+  fun net ->
+    if not !marked then begin
+      mark d_net;
+      marked := true
+    end;
+    tail net
 
 (* Maximum and minimum data arrival time at every net, relative to the
    launching clock edge at t = 0 (clock arrivals shift launch times per

@@ -352,6 +352,97 @@ let test_active_mask_restricts_counters () =
   Alcotest.(check int) "ones only in active lanes" 6 (Simc.ones_count s d_net);
   Alcotest.(check (float 1e-9)) "sp = 1 over active lanes" 1.0 (Simc.sp s d_net)
 
+(* --- single-lane sampling ---
+
+   Profiled simulators see the same random stimulus: [one] samples lane 0
+   (mask 1, the single-lane path), [other] lane 1 (mask 2, the generic
+   path), [pair] lanes 0 and 1 (mask 3, generic too), and [mixed] switches
+   between masks 1 and 3 from step to step, so lane 1's toggle memory
+   must survive the single-lane samples.  Lanes nobody samples carry
+   noise.  Scalar reference 0 is lane 0 everywhere and lane 1 of
+   [other]; reference 1 is lane 1 of [pair]; reference 2 is lane 1 of
+   [mixed], sampled only when [mixed] samples it. *)
+let single_lane_run rng nl cycles =
+  let profiled mask =
+    let s = Simc.create ~profile:true nl in
+    Simc.set_active_mask s mask;
+    s
+  in
+  let one = profiled 1 and other = profiled 2 and pair = profiled 3 and mixed = profiled 3 in
+  let refs = Array.init 3 (fun _ -> Sim.create ~profile:true nl) in
+  let num_nets = Netlist.num_nets nl in
+  let fail = ref None in
+  let report msg = if !fail = None then fail := Some msg in
+  for c = 1 to cycles do
+    List.iter
+      (fun (p : Netlist.port) ->
+        let w = Array.length p.Netlist.port_nets and name = p.Netlist.port_name in
+        let v = Array.init 3 (fun _ -> rand_bits rng w) in
+        let drive sim lanes =
+          let vals = Array.init Simc.lanes (fun _ -> rand_bits rng w) in
+          List.iter (fun (lane, r) -> vals.(lane) <- v.(r)) lanes;
+          Simc.set_input_words sim name (Lanes.pack w vals)
+        in
+        drive one [ (0, 0) ];
+        drive other [ (1, 0) ];
+        drive pair [ (0, 0); (1, 1) ];
+        drive mixed [ (0, 0); (1, 2) ];
+        Array.iteri (fun r sim -> Sim.set_input sim name (bv w v.(r))) refs)
+      (Netlist.inputs nl);
+    if Random.State.int rng 4 = 0 then begin
+      Simc.set_active_mask mixed 3;
+      List.iter Simc.hold_clock [ one; other; pair; mixed ];
+      Array.iter Sim.hold_clock refs
+    end
+    else begin
+      (* both lanes on the first sample: a lane's first sample is global *)
+      let both = c = 1 || Random.State.bool rng in
+      Simc.set_active_mask mixed (if both then 3 else 1);
+      List.iter (fun s -> Simc.step s) [ one; other; pair; mixed ];
+      Sim.step refs.(0);
+      Sim.step refs.(1);
+      Sim.step ~sample:both refs.(2)
+    end;
+    (* the first sample counts no toggle, whatever the nets hold *)
+    if c = 1 then
+      for n = 0 to num_nets - 1 do
+        if Simc.toggles_count one n <> 0 then
+          report (Printf.sprintf "net %d: toggle on the first sample" n)
+      done
+  done;
+  let check what sim ~samples ~ones ~toggles =
+    if Simc.samples sim <> samples then
+      report (Printf.sprintf "%s: %d samples, want %d" what (Simc.samples sim) samples);
+    for n = 0 to num_nets - 1 do
+      if Simc.ones_count sim n <> ones n then report (Printf.sprintf "%s: net %d ones" what n);
+      if Simc.toggles_count sim n <> toggles n then
+        report (Printf.sprintf "%s: net %d toggles" what n)
+    done
+  in
+  let sum2 f a b n = f a n + f b n in
+  let r0 = refs.(0) and r1 = refs.(1) and r2 = refs.(2) in
+  check "mask 1 vs scalar" one ~samples:cycles ~ones:(scalar_ones r0)
+    ~toggles:(scalar_toggles r0);
+  check "mask 1 vs mask 2" one ~samples:(Simc.samples other) ~ones:(Simc.ones_count other)
+    ~toggles:(Simc.toggles_count other);
+  check "mask 3 vs scalar" pair ~samples:(2 * cycles) ~ones:(sum2 scalar_ones r0 r1)
+    ~toggles:(sum2 scalar_toggles r0 r1);
+  check "masks 1 and 3 vs scalar" mixed
+    ~samples:(cycles + Sim.samples r2)
+    ~ones:(sum2 scalar_ones r0 r2) ~toggles:(sum2 scalar_toggles r0 r2);
+  match !fail with None -> Ok () | Some msg -> Error msg
+
+let prop_single_lane_sampling =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"mask 1 counters = generic path = scalar Sim"
+       (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 10_000_000))
+       (fun seed ->
+         let rng = Random.State.make [| seed; 0x1a7e |] in
+         let nl = build_random_netlist rng in
+         match single_lane_run rng nl (2 + Random.State.int rng 8) with
+         | Ok () -> true
+         | Error msg -> QCheck.Test.fail_reportf "seed %d: %s" seed msg))
+
 let () =
   Alcotest.run "simc"
     [
@@ -366,6 +457,7 @@ let () =
           Alcotest.test_case "lane view vcd" `Quick test_lane_view_vcd;
           Alcotest.test_case "lane view power" `Quick test_lane_view_power;
         ] );
+      ("single lane", [ prop_single_lane_sampling ]);
       ( "dispatch",
         [ Alcotest.test_case "zero allocation" `Quick test_zero_allocation_dispatch ] );
       ( "unit",

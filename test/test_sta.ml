@@ -715,6 +715,14 @@ let same_report (r : Sta.report) (o : Sta.report) =
   && same_float r.wns_hold_ps o.wns_hold_ps
   && r.truncated = o.truncated
 
+(* The shortest clock period that meets setup at every endpoint under
+   [timing], read off the slacks at a period so long nothing violates. *)
+let critical_ps ~timing nl =
+  let probe = Sta.analyze ~max_violating_paths:0 ~timing ~clock_period_ps:1e9 nl in
+  List.fold_left
+    (fun acc (e : Sta.endpoint_slack) -> Float.max acc (1e9 -. e.Sta.setup_slack_ps))
+    0.0 probe.Sta.endpoint_slacks
+
 (* ALU8, ALU16 and FPU16 with their fresh critical paths, which scale the
    clock period of each corner. *)
 let kernel_units =
@@ -723,13 +731,7 @@ let kernel_units =
        (fun (name, nl) ->
          let clock_tree = Clock_tree.two_domain_gated ~sp_gated:0.05 () in
          let timing = Sta.fresh_timing ~clock_tree Cell.Library.c28 in
-         let probe = Sta.analyze ~max_violating_paths:0 ~timing ~clock_period_ps:1e9 nl in
-         let crit =
-           List.fold_left
-             (fun acc (e : Sta.endpoint_slack) -> Float.max acc (1e9 -. e.Sta.setup_slack_ps))
-             0.0 probe.Sta.endpoint_slacks
-         in
-         (name, nl, crit))
+         (name, nl, critical_ps ~timing nl))
        [ ("alu8", Alu.netlist ~width:8 ()); ("alu16", Alu.netlist ~width:16 ()); ("fpu16", Fpu.netlist ()) ])
 
 type corner = {
@@ -1071,6 +1073,152 @@ let test_retime_one_endpoint () =
   Alcotest.(check int) "endpoint total" (List.length (Netlist.dffs nl')) total;
   Alcotest.(check bool) "table = full sweep" true (all2 same_pair pairs (full_pairs v'))
 
+(* ---------- cone marking ---------- *)
+
+(* Ids of the combinational cells in [d_net]'s fan-in cone: a backward
+   walk over combinational drivers, stopping at registers and inputs. *)
+let comb_fanin nl d_net =
+  let seen = Array.make (Netlist.num_cells nl) false in
+  let rec visit net =
+    match Netlist.driver nl net with
+    | Netlist.Driven_by_cell id when id >= 0 ->
+      let c = Netlist.cell nl id in
+      if (not (Cell.Kind.is_sequential c.kind)) && not seen.(id) then begin
+        seen.(id) <- true;
+        Array.iter visit c.inputs
+      end
+    | Netlist.Driven_by_cell _ | Netlist.Driven_by_input _ -> ()
+  in
+  visit d_net;
+  seen
+
+(* Every kernel entry point agrees bit for bit with the oracle, at a
+   violating and a clean period, with and without constrained inputs, and
+   [pair_path] on every (start, endpoint, check).  Registers sit in both
+   domains of a gated clock tree. *)
+let agrees_with_oracle nl =
+  let timing =
+    Sta.aged_timing ~clock_tree:retime_tree ~sp_of_net:(fun _ -> 0.3) ~years:10.0 aglib_c28
+  in
+  let crit = critical_ps ~timing nl in
+  let dffs = Netlist.dffs nl in
+  let starts =
+    List.map (fun id -> Sta.From_dff id) dffs
+    @ List.concat_map
+        (fun (p : Netlist.port) ->
+          List.init (Array.length p.port_nets) (fun b -> Sta.From_input (p.port_name, b)))
+        (Netlist.inputs nl)
+  in
+  List.for_all
+    (fun (clock_period_ps, constrain_inputs) ->
+      let pairs = Sta.endpoint_pairs ~constrain_inputs ~timing ~clock_period_ps nl in
+      let oracle_pairs = Oracle.endpoint_pairs ~constrain_inputs ~timing ~clock_period_ps nl in
+      all2 same_pair pairs oracle_pairs
+      && all2 same_pair
+           (Sta.violating_pairs ~constrain_inputs ~timing ~clock_period_ps nl)
+           (Oracle.violating_of_pairs oracle_pairs)
+      && same_report
+           (Sta.analyze ~constrain_inputs ~timing ~clock_period_ps nl)
+           (Oracle.analyze ~constrain_inputs ~timing ~clock_period_ps nl)
+      && List.for_all
+           (fun (s, e, k) ->
+             Option.equal same_path
+               (Sta.pair_path ~constrain_inputs ~timing ~clock_period_ps nl s e k)
+               (Oracle.pair_path ~constrain_inputs ~timing ~clock_period_ps nl s e k))
+           (List.concat_map
+              (fun s ->
+                List.concat_map
+                  (fun e -> [ (s, Sta.At_dff e, Sta.Setup); (s, Sta.At_dff e, Sta.Hold) ])
+                  dffs)
+              starts))
+    [ (crit *. 0.8, false); (crit *. 0.8, true); (crit *. 1.2, false); (crit *. 1.2, true) ]
+
+(* Endpoint [b] reads register [a]'s Q directly: its cone is [b]'s D net
+   alone, with no combinational cell. *)
+let cone_empty () =
+  let b = B.create "empty_cone" in
+  let d = B.add_input b "d" 2 in
+  let qa = B.add_cell ~name:"a" ~clock_domain:0 b Cell.Kind.Dff [| d.(0) |] in
+  let qb = B.add_cell ~name:"b" ~clock_domain:0 b Cell.Kind.Dff [| qa |] in
+  let x = B.add_cell b Cell.Kind.Xor2 [| qa; d.(1) |] in
+  let nx = B.add_cell b Cell.Kind.Not [| x |] in
+  let qc = B.add_cell ~name:"c" ~clock_domain:0 b Cell.Kind.Dff [| nx |] in
+  B.add_output b "q" [| qb; qc |];
+  B.finish b
+
+(* Registers [z0]/[z1] feed only logic that ends at an output port: they
+   launch no pair, and their fan-out lies outside every cone. *)
+let cone_dead_starts () =
+  let b = B.create "dead_starts" in
+  let d = B.add_input b "d" 2 in
+  let q0 = B.add_cell ~name:"z0" ~clock_domain:0 b Cell.Kind.Dff [| d.(0) |] in
+  let q1 = B.add_cell ~name:"z1" ~clock_domain:1 b Cell.Kind.Dff [| d.(1) |] in
+  let y = B.add_cell b Cell.Kind.Or2 [| B.add_cell b Cell.Kind.And2 [| q0; q1 |]; d.(0) |] in
+  let bd = B.add_cell b Cell.Kind.Buf [| d.(1) |] in
+  let qe = B.add_cell ~name:"e" ~clock_domain:0 b Cell.Kind.Dff [| bd |] in
+  B.add_output b "y" [| y; qe |];
+  B.finish b
+
+(* Net [x] fans out into [e]'s cone (through [Not]), into [f]'s cone
+   (through [Xor2]) and to an output port (through [Or2]): for each
+   endpoint, part of [x]'s fan-out leaves the cone. *)
+let cone_fanout () =
+  let b = B.create "fanout" in
+  let d = B.add_input b "d" 2 in
+  let qa = B.add_cell ~name:"a" ~clock_domain:0 b Cell.Kind.Dff [| d.(0) |] in
+  let qb = B.add_cell ~name:"b" ~clock_domain:1 b Cell.Kind.Dff [| d.(1) |] in
+  let x = B.add_cell b Cell.Kind.And2 [| qa; qb |] in
+  let nx = B.add_cell b Cell.Kind.Not [| x |] in
+  let qe = B.add_cell ~name:"e" ~clock_domain:0 b Cell.Kind.Dff [| nx |] in
+  let chain = B.add_cell b Cell.Kind.Buf [| B.add_cell b Cell.Kind.Xor2 [| x; qe |] |] in
+  let qf = B.add_cell ~name:"f" ~clock_domain:1 b Cell.Kind.Dff [| chain |] in
+  B.add_output b "o" [| B.add_cell b Cell.Kind.Or2 [| x; qa |]; qf |];
+  B.finish b
+
+let test_cone_cases () =
+  List.iter
+    (fun (name, nl) ->
+      Alcotest.(check bool) (name ^ ": kernel = oracle, bit for bit") true (agrees_with_oracle nl))
+    [
+      ("empty cone", cone_empty ());
+      ("registers reaching no endpoint", cone_dead_starts ());
+      ("fan-out leaving the cone", cone_fanout ());
+    ]
+
+(* [endpoint_pairs] asks [cell_delay] only for cells inside some
+   endpoint's combinational fan-in cone. *)
+let test_delay_only_in_cones () =
+  let corner =
+    { unit_ix = 0; seed = 2; years = 10.0; derate = 1.0; margin = 0.98; sp_gated = 0.05;
+      em = false; constrain = false }
+  in
+  List.iter
+    (fun (name, nl) ->
+      let timing = corner_timing corner nl in
+      let in_cones = Array.make (Netlist.num_cells nl) false in
+      List.iter
+        (fun id ->
+          Array.iteri
+            (fun c inside -> if inside then in_cones.(c) <- true)
+            (comb_fanin nl (Netlist.cell nl id).inputs.(0)))
+        (Netlist.dffs nl);
+      let outside = ref [] and called = ref 0 in
+      let cell_delay (c : Netlist.cell) =
+        incr called;
+        if not in_cones.(c.id) then outside := c.name :: !outside;
+        timing.Sta.cell_delay c
+      in
+      List.iter
+        (fun constrain_inputs ->
+          ignore
+            (Sta.endpoint_pairs ~constrain_inputs ~timing:{ timing with Sta.cell_delay }
+               ~clock_period_ps:1000.0 nl))
+        [ false; true ];
+      Alcotest.(check bool) (name ^ ": delays asked") true (!called > 0);
+      Alcotest.(check (list string)) (name ^ ": cells outside every cone") [] !outside)
+    (List.map (fun (name, nl, _) -> (name, nl)) (Lazy.force kernel_units)
+    @ [ ("dead starts", cone_dead_starts ()); ("fan-out", cone_fanout ()) ])
+
 let () =
   Alcotest.run "sta"
     [
@@ -1106,6 +1254,11 @@ let () =
         [
           prop_kernel_matches_oracle;
           Alcotest.test_case "one cell_delay per cell" `Quick test_delay_once_per_cell;
+        ] );
+      ( "cone marking",
+        [
+          Alcotest.test_case "edge cones match the oracle" `Quick test_cone_cases;
+          Alcotest.test_case "delays only inside cones" `Quick test_delay_only_in_cones;
         ] );
       ( "retime",
         [

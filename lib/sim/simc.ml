@@ -11,10 +11,14 @@
    threaded-dispatch pass with no graph traversal and no per-cycle
    allocation; registers commit through a double-buffered swap.
 
-   Settling is lazy: driving inputs or clocking an edge only marks the
-   state dirty, and the program runs at most once per observation point.
-   A write-only cycle loop therefore executes the program once per cycle
-   where Sim64's step settles twice.
+   Settling is lazy and change-gated: every state write (an input port,
+   a register commit) compares the old word with the new one, and only a
+   changed word that some compiled op reads marks the program stale.  The
+   program then runs at most once per observation point, and not at all
+   when nothing it reads has moved — a pipeline bubble on held inputs, or
+   an output read straight from a register after an edge.  A write-only
+   cycle loop therefore executes the program at most once per cycle where
+   Sim64's step settles twice.
 
    Lane conventions are exactly Sim64's: bit [k] of every word is
    simulation lane [k], and only land/lor/lxor/lnot/lsr touch words.  An
@@ -88,6 +92,7 @@ type t = {
   n_ops : int;
   rd_slot : int array;  (* net -> slot holding its (possibly inverted) value *)
   rd_neg : int array;  (* net -> 0 or all_lanes: value = state.(slot) lxor neg *)
+  reads : bool array;  (* slot -> some compiled op reads it *)
   dff_d_slot : int array;  (* resolved D read descriptor per DFF *)
   dff_d_neg : int array;
   dff_q : int array;  (* Q net (always its own slot) per DFF *)
@@ -99,7 +104,7 @@ type t = {
   fb_val : int array;  (* memo for fallback reads of eliminated nets *)
   fb_stamp : int array;
   mutable fb_epoch : int;
-  mutable dirty : bool;  (* inputs or registers changed since the last run *)
+  mutable dirty : bool;  (* a word some op reads changed since the last run *)
   mutable lane_samples : int;
   mutable toggle_slots : int;
   mutable cycles_sampled : int;
@@ -247,6 +252,17 @@ let exec t =
         i := !i + 4
       done)
   done
+
+(* Every write to an input or register word goes through here.  An
+   unchanged word costs nothing; a changed one invalidates the fallback
+   memo, and marks the program stale only if some op reads it — a pass
+   over unchanged read slots would rewrite the same words. *)
+let write t slot w =
+  if t.state.(slot) <> w then begin
+    t.state.(slot) <- w;
+    t.fb_epoch <- t.fb_epoch + 1;
+    if t.reads.(slot) then t.dirty <- true
+  end
 
 let ensure_settled t =
   if t.dirty then begin
@@ -556,6 +572,18 @@ let compile ~optimize netlist =
       seg_table.(k) <- op;
       seg_table.(k + 1) <- stop)
     !segs;
+  (* the slots the program reads: a write to any other slot cannot change
+     what a pass computes *)
+  let reads = Array.make (num_nets + 1) false in
+  Array.iter
+    (fun (op, _, s0, s1) ->
+      if op >= 2 then reads.(s0) <- true;
+      if op = op_mux2 || op = op_muxn then begin
+        reads.(s1 land 0x7fffffff) <- true;
+        reads.(s1 lsr 31) <- true
+      end
+      else if op >= 4 then reads.(s1) <- true)
+    emitted;
   let dead = ref 0 in
   Array.iter
     (fun (c : Netlist.cell) ->
@@ -565,7 +593,7 @@ let compile ~optimize netlist =
   Telemetry.Counter.add tele_ops n;
   Telemetry.Counter.add tele_folded !folded;
   Telemetry.Counter.add tele_dead !dead;
-  (code, n, seg_table, rd_slot, rd_neg)
+  (code, n, seg_table, rd_slot, rd_neg, reads)
 
 let reset t =
   Array.fill t.state 0 (Array.length t.state) 0;
@@ -590,7 +618,7 @@ let create ?(profile = false) netlist =
   let cells = Netlist.cells netlist in
   let dff_ids = Array.of_list (Netlist.dffs netlist) in
   let nd = Array.length dff_ids in
-  let code, n_ops, segs, rd_slot, rd_neg = compile ~optimize:(not profile) netlist in
+  let code, n_ops, segs, rd_slot, rd_neg, reads = compile ~optimize:(not profile) netlist in
   let t =
     {
       netlist;
@@ -602,6 +630,7 @@ let create ?(profile = false) netlist =
       n_ops;
       rd_slot;
       rd_neg;
+      reads;
       dff_d_slot = Array.map (fun id -> rd_slot.(cells.(id).Netlist.inputs.(0))) dff_ids;
       dff_d_neg = Array.map (fun id -> rd_neg.(cells.(id).Netlist.inputs.(0))) dff_ids;
       dff_q = Array.map (fun id -> cells.(id).Netlist.output) dff_ids;
@@ -655,9 +684,8 @@ let set_input_words t port words =
       (Printf.sprintf "Simc.set_input_words: port %s has width %d, got %d words" port width
          (Array.length words));
   for i = 0 to width - 1 do
-    t.state.(nets.(i)) <- words.(i)
-  done;
-  t.dirty <- true
+    write t nets.(i) words.(i)
+  done
 
 let set_input_all t port v =
   let p = find_input t port in
@@ -666,8 +694,7 @@ let set_input_all t port v =
     invalid_arg
       (Printf.sprintf "Simc.set_input_all: port %s has width %d, value has width %d" port width
          (Bitvec.width v));
-  Array.iteri (fun i n -> t.state.(n) <- (if Bitvec.bit v i then all_lanes else 0)) p.port_nets;
-  t.dirty <- true
+  Array.iteri (fun i n -> write t n (if Bitvec.bit v i then all_lanes else 0)) p.port_nets
 
 let set_input t ~lane port v =
   check_lane "set_input" lane;
@@ -680,10 +707,8 @@ let set_input t ~lane port v =
   let bit = 1 lsl lane in
   Array.iteri
     (fun i n ->
-      if Bitvec.bit v i then t.state.(n) <- t.state.(n) lor bit
-      else t.state.(n) <- t.state.(n) land lnot bit)
-    p.port_nets;
-  t.dirty <- true
+      write t n (if Bitvec.bit v i then t.state.(n) lor bit else t.state.(n) land lnot bit))
+    p.port_nets
 
 let set_input_bit t ~lane port bit v =
   check_lane "set_input_bit" lane;
@@ -692,8 +717,7 @@ let set_input_bit t ~lane port bit v =
     invalid_arg (Printf.sprintf "Simc.set_input_bit: port %s has no bit %d" port bit);
   let m = 1 lsl lane in
   let n = p.Netlist.port_nets.(bit) in
-  if v then t.state.(n) <- t.state.(n) lor m else t.state.(n) <- t.state.(n) land lnot m;
-  t.dirty <- true
+  write t n (if v then t.state.(n) lor m else t.state.(n) land lnot m)
 
 (* --- the clock --- *)
 
@@ -741,13 +765,13 @@ let step ?(sample = true) t =
       (Array.unsafe_get t.state (Array.unsafe_get t.dff_d_slot i)
       lxor Array.unsafe_get t.dff_d_neg i)
   done;
+  (* lazy settle: a changed Q that some op reads makes the program rerun
+     at the next observation *)
   for i = 0 to nd - 1 do
-    Array.unsafe_set t.state (Array.unsafe_get t.dff_q i) (Array.unsafe_get t.q_next i)
+    write t (Array.unsafe_get t.dff_q i) (Array.unsafe_get t.q_next i)
   done;
   t.cycle <- t.cycle + 1;
-  Telemetry.Counter.incr tele_cycles;
-  (* lazy settle: the program reruns only at the next observation *)
-  t.dirty <- true
+  Telemetry.Counter.incr tele_cycles
 
 let hold_clock t =
   ensure_settled t;
@@ -771,11 +795,12 @@ let port_words t (p : Netlist.port) =
 
 let port_value t lane (p : Netlist.port) =
   ensure_settled t;
-  let v = ref (Bitvec.zero (Array.length p.port_nets)) in
-  Array.iteri
-    (fun i n -> if (fb_eval t n lsr lane) land 1 = 1 then v := Bitvec.set_bit !v i true)
-    p.port_nets;
-  !v
+  let nets = p.port_nets in
+  let v = ref 0 in
+  for i = 0 to Array.length nets - 1 do
+    v := !v lor (((fb_eval t nets.(i) lsr lane) land 1) lsl i)
+  done;
+  Bitvec.create ~width:(Array.length nets) !v
 
 let output_words t port = port_words t (find_output t port)
 
@@ -877,9 +902,8 @@ let run_random ?(seed = 0x5eed) t ~cycles =
   for _ = 1 to cycles do
     List.iter
       (fun (p : Netlist.port) ->
-        Array.iter (fun n -> t.state.(n) <- Sim64.random_word rng) p.port_nets)
+        Array.iter (fun n -> write t n (Sim64.random_word rng)) p.port_nets)
       ports;
-    t.dirty <- true;
     step t
   done
 

@@ -17,10 +17,18 @@
     observable: {!net_word} falls back to an on-demand interpretation of
     the original netlist, memoized per settle.
 
-    Settling is lazy — driving inputs or clocking an edge marks the state
-    dirty and the program runs at most once per observation point — so a
-    write-only [set_inputs; step] loop executes one program pass per cycle
-    where {!Sim64.step} settles twice.
+    Settling is lazy and change-gated.  Driving an input or clocking an
+    edge compares each written word with the one it replaces, and only a
+    changed word that some compiled op reads makes the program stale; the
+    program then runs at most once per observation point.  A write-only
+    [set_inputs; step] loop executes at most one program pass per cycle
+    where {!Sim64.step} settles twice, and none when the words the logic
+    reads did not move: a unit that registers its inputs and outputs
+    re-runs its logic only on the edge after an input register changed,
+    and its outputs read without a settle.  {!reset} and {!restore}
+    always re-run the program.  Values, SP and toggle counters are the
+    same as with an eager settle, because a skipped pass would have
+    rewritten the same words.
 
     With [~profile:true] the compiler is conservative (every cell emitted,
     no aliasing or elimination), so the SP/toggle counters observe every
@@ -73,7 +81,8 @@ val active_mask : t -> int
 
 val settle : t -> unit
 (** Ensure every net reflects the current inputs and register values.
-    Idempotent; a no-op unless the state is dirty. *)
+    Idempotent; a no-op unless a word the program reads changed since
+    the last pass. *)
 
 val step : ?sample:bool -> t -> unit
 (** One full clock cycle on all lanes: settle, sample the SP counters

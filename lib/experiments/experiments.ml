@@ -954,11 +954,11 @@ let campaign ?(config = quick_campaign) ?(log = fun _ -> ()) ?checkpoint () =
                     }
                   in
                   let fresh_run mk_row =
-                    let m = campaign_machine target config.cg_seed in
-                    Machine.reset m;
-                    let inj =
-                      Guard.Injector.create ~machine:m ~slot ~spec
-                        (Guard.Injector.permanent onset)
+                    let m, inj =
+                      Telemetry.with_span ~cat:"experiments" "campaign.machine" @@ fun () ->
+                      let m = campaign_machine target config.cg_seed in
+                      Machine.reset m;
+                      (m, Guard.Injector.create ~machine:m ~slot ~spec (Guard.Injector.permanent onset))
                     in
                     mk_row m inj
                   in
@@ -980,6 +980,7 @@ let campaign ?(config = quick_campaign) ?(log = fun _ -> ()) ?checkpoint () =
                     }
                   in
                   let unguarded () =
+                    Telemetry.with_span ~cat:"experiments" "campaign.unguarded" @@ fun () ->
                     fresh_run (fun m inj ->
                         let outcome =
                           Machine.run ~max_instructions:fuel

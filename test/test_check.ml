@@ -329,6 +329,392 @@ let qcheck_random_netlists_lint_clean =
          let nl = build_random_netlist (Random.State.make [| seed; 0x11 |]) in
          Check.errors (Check.lint_netlist nl) = []))
 
+(* --- deferred CNF vs the eager encoder ---
+
+   The checker's encoder as it was before clause intake was deferred to
+   the SAT path: every Tseitin clause goes into the solver as the node is
+   built.  Cec.check must give the same verdict, counterexample and
+   search (SAT conflicts) on every input. *)
+module Eager_cec = struct
+  open Cec
+
+    type node_key = And of int * int | Xor of int * int
+
+    exception Early of verdict
+
+    let port_widths l =
+      List.map (fun (p : Netlist.port) -> (p.Netlist.port_name, Array.length p.Netlist.port_nets)) l
+
+    let check_interfaces ~free_inputs ~kind here_name there_name here there =
+      List.iter
+        (fun (name, w) ->
+          match List.assoc_opt name there with
+          | Some w' when w <> w' ->
+            invalid_arg
+              (Printf.sprintf "Cec.check: %s port %s has width %d in %s but %d in %s" kind name w
+                 here_name w' there_name)
+          | Some _ -> ()
+          | None ->
+            if not free_inputs then
+              invalid_arg
+                (Printf.sprintf "Cec.check: %s port %s of %s has no counterpart in %s" kind name
+                   here_name there_name))
+        here
+
+    let check ?(free_inputs = false) ?(tie_low = []) ?max_conflicts a b =
+      let an = Netlist.name a and bn = Netlist.name b in
+      let an, bn = if an = bn then (an ^ "(left)", bn ^ "(right)") else (an, bn) in
+      let ia = port_widths (Netlist.inputs a) and ib = port_widths (Netlist.inputs b) in
+      check_interfaces ~free_inputs ~kind:"input" an bn ia ib;
+      check_interfaces ~free_inputs ~kind:"input" bn an ib ia;
+      let oa = port_widths (Netlist.outputs a) and ob = port_widths (Netlist.outputs b) in
+      check_interfaces ~free_inputs ~kind:"output" an bn oa ob;
+      check_interfaces ~free_inputs ~kind:"output" bn an ob oa;
+      let s = Sat.create () in
+      let tt = Sat.new_var s in
+      Sat.add_clause s [ tt ];
+      let nodes : (node_key, int) Hashtbl.t = Hashtbl.create 4096 in
+      let mk_and x y =
+        if x = -tt || y = -tt then -tt
+        else if x = tt then y
+        else if y = tt then x
+        else if x = y then x
+        else if x = -y then -tt
+        else begin
+          let x, y = if x < y then (x, y) else (y, x) in
+          match Hashtbl.find_opt nodes (And (x, y)) with
+          | Some v -> v
+          | None ->
+            let v = Sat.new_var s in
+            Sat.add_clause s [ -v; x ];
+            Sat.add_clause s [ -v; y ];
+            Sat.add_clause s [ v; -x; -y ];
+            Hashtbl.replace nodes (And (x, y)) v;
+            v
+        end
+      in
+      let mk_or x y = -mk_and (-x) (-y) in
+      let mk_xor x y =
+        if x = tt then -y
+        else if x = -tt then y
+        else if y = tt then -x
+        else if y = -tt then x
+        else if x = y then -tt
+        else if x = -y then tt
+        else begin
+          let sign = x < 0 <> (y < 0) in
+          let x, y = (abs x, abs y) in
+          let x, y = if x < y then (x, y) else (y, x) in
+          let v =
+            match Hashtbl.find_opt nodes (Xor (x, y)) with
+            | Some v -> v
+            | None ->
+              let v = Sat.new_var s in
+              Sat.add_clause s [ -v; x; y ];
+              Sat.add_clause s [ -v; -x; -y ];
+              Sat.add_clause s [ v; -x; y ];
+              Sat.add_clause s [ v; x; -y ];
+              Hashtbl.replace nodes (Xor (x, y)) v;
+              v
+          in
+          if sign then -v else v
+        end
+      in
+      let mk_mux a0 b0 sel = mk_or (mk_and sel b0) (mk_and (-sel) a0) in
+      let tied = Hashtbl.create 8 in
+      List.iter (fun name -> Hashtbl.replace tied name ()) tie_low;
+      (* Shared input variables, keyed by (port, bit) across both netlists. *)
+      let input_vars : (string * int, int) Hashtbl.t = Hashtbl.create 64 in
+      let input_var name bit =
+        match Hashtbl.find_opt input_vars (name, bit) with
+        | Some v -> v
+        | None ->
+          let v = Sat.new_var s in
+          Hashtbl.replace input_vars (name, bit) v;
+          v
+      in
+      (* Register correspondence: DFFs present (by instance name) in both
+         netlists share one free Q variable — and must agree on reset value
+         and clock domain, otherwise the induction hypothesis is unsound. *)
+      let dff_table nl =
+        let t = Hashtbl.create 32 in
+        List.iter
+          (fun id ->
+            let c = Netlist.cell nl id in
+            Hashtbl.replace t c.Netlist.name c)
+          (Netlist.dffs nl);
+        t
+      in
+      let dffs_a = dff_table a and dffs_b = dff_table b in
+      let matched =
+        Hashtbl.fold (fun name _ acc -> if Hashtbl.mem dffs_b name then name :: acc else acc) dffs_a []
+        |> List.sort compare
+      in
+      let fail_cex site = raise (Early (Inequivalent { cex_inputs = []; cex_states = []; cex_site = site })) in
+      let check_matched () =
+        List.iter
+          (fun name ->
+            let ca = Hashtbl.find dffs_a name and cb = Hashtbl.find dffs_b name in
+            if ca.Netlist.reset_value <> cb.Netlist.reset_value then
+              fail_cex
+                (Printf.sprintf "register %s (reset value %b in %s vs %b in %s)" name
+                   ca.Netlist.reset_value an cb.Netlist.reset_value bn);
+            if ca.Netlist.clock_domain <> cb.Netlist.clock_domain then
+              fail_cex
+                (Printf.sprintf "register %s (clock domain %d in %s vs %d in %s)" name
+                   ca.Netlist.clock_domain an cb.Netlist.clock_domain bn))
+          matched
+      in
+      let shared_q : (string, int) Hashtbl.t = Hashtbl.create 32 in
+      let q_var nl_dffs name =
+        if not (Hashtbl.mem nl_dffs name) then assert false
+        else
+          match Hashtbl.find_opt shared_q name with
+          | Some v -> v
+          | None ->
+            let v = Sat.new_var s in
+            if List.mem name matched then Hashtbl.replace shared_q name v;
+            v
+      in
+      let encode nl nl_dffs =
+        let lits = Array.make (max (Netlist.num_nets nl) 1) 0 in
+        List.iter
+          (fun (p : Netlist.port) ->
+            Array.iteri (fun bit n -> lits.(n) <- input_var p.Netlist.port_name bit) p.Netlist.port_nets)
+          (Netlist.inputs nl);
+        List.iter
+          (fun id ->
+            let c = Netlist.cell nl id in
+            lits.(c.Netlist.output) <-
+              (if Hashtbl.mem tied c.Netlist.name then -tt else q_var nl_dffs c.Netlist.name))
+          (Netlist.dffs nl);
+        Array.iter
+          (fun id ->
+            let c = Netlist.cell nl id in
+            let l =
+              if Hashtbl.mem tied c.Netlist.name then -tt
+              else begin
+                let i k = lits.(c.Netlist.inputs.(k)) in
+                match c.Netlist.kind with
+                | Cell.Kind.Tie0 -> -tt
+                | Cell.Kind.Tie1 -> tt
+                | Cell.Kind.Buf -> i 0
+                | Cell.Kind.Not -> -(i 0)
+                | Cell.Kind.And2 -> mk_and (i 0) (i 1)
+                | Cell.Kind.Nand2 -> -mk_and (i 0) (i 1)
+                | Cell.Kind.Or2 -> mk_or (i 0) (i 1)
+                | Cell.Kind.Nor2 -> -mk_or (i 0) (i 1)
+                | Cell.Kind.Xor2 -> mk_xor (i 0) (i 1)
+                | Cell.Kind.Xnor2 -> -mk_xor (i 0) (i 1)
+                | Cell.Kind.Mux2 -> mk_mux (i 0) (i 1) (i 2)
+                | Cell.Kind.Dff -> assert false
+              end
+            in
+            lits.(c.Netlist.output) <- l)
+          (Netlist.topo_order nl);
+        lits
+      in
+      try
+        check_matched ();
+        let la = encode a dffs_a and lb = encode b dffs_b in
+        (* Comparison points: common output-port bits, then matched registers'
+           next-state (D) functions. *)
+        let points = ref [] in
+        List.iter
+          (fun (p : Netlist.port) ->
+            match
+              List.find_opt (fun (q : Netlist.port) -> q.Netlist.port_name = p.Netlist.port_name)
+                (Netlist.outputs b)
+            with
+            | None -> ()
+            | Some q ->
+              Array.iteri
+                (fun bit n ->
+                  points :=
+                    ( Printf.sprintf "output %s[%d]" p.Netlist.port_name bit,
+                      la.(n),
+                      lb.(q.Netlist.port_nets.(bit)) )
+                    :: !points)
+                p.Netlist.port_nets)
+          (Netlist.outputs a);
+        List.iter
+          (fun name ->
+            if not (Hashtbl.mem tied name) then begin
+              let ca = Hashtbl.find dffs_a name and cb = Hashtbl.find dffs_b name in
+              points :=
+                ( Printf.sprintf "register %s.D" name,
+                  la.(ca.Netlist.inputs.(0)),
+                  lb.(cb.Netlist.inputs.(0)) )
+                :: !points
+            end)
+          matched;
+        let points = List.rev !points in
+        let diffs =
+          List.filter_map
+            (fun (site, x, y) ->
+              let d = mk_xor x y in
+              if d = -tt then None else Some (site, d))
+            points
+        in
+        let build_cex value site =
+          let chunk name w bit_at =
+            if w <= Bitvec.max_width then [ (name, Bitvec.of_bits (List.init w bit_at)) ]
+            else begin
+              let acc = ref [] in
+              let lo = ref 0 in
+              while !lo < w do
+                let hi = min (!lo + Bitvec.max_width) w - 1 in
+                acc :=
+                  ( Printf.sprintf "%s[%d:%d]" name hi !lo,
+                    Bitvec.of_bits (List.init (hi - !lo + 1) (fun i -> bit_at (!lo + i))) )
+                  :: !acc;
+                lo := hi + 1
+              done;
+              List.rev !acc
+            end
+          in
+          let seen = Hashtbl.create 16 in
+          let cex_inputs =
+            List.concat_map
+              (fun (p : Netlist.port) ->
+                let name = p.Netlist.port_name in
+                if Hashtbl.mem seen name then []
+                else begin
+                  Hashtbl.replace seen name ();
+                  chunk name (Array.length p.Netlist.port_nets) (fun bit ->
+                      match Hashtbl.find_opt input_vars (name, bit) with
+                      | Some v -> value v
+                      | None -> false)
+                end)
+              (Netlist.inputs a @ Netlist.inputs b)
+          in
+          let cex_states =
+            List.map
+              (fun name ->
+                ( name,
+                  match Hashtbl.find_opt shared_q name with Some v -> value v | None -> false ))
+              matched
+          in
+          { cex_inputs; cex_states; cex_site = site }
+        in
+        if diffs = [] then Equivalent
+        else begin
+          match List.find_opt (fun (_, d) -> d = tt) diffs with
+          | Some (site, _) ->
+            (* Constant-true difference: *every* assignment distinguishes the
+               netlists, in particular all-zeros — no SAT call needed. *)
+            Inequivalent (build_cex (fun _ -> false) site)
+          | None -> (
+            Sat.add_clause s (List.map snd diffs);
+            match Sat.solve ?max_conflicts s with
+            | Sat.Unsat -> Equivalent
+            | Sat.Unknown -> Unknown
+            | Sat.Sat ->
+              let model = Sat.model s in
+              let value v = model.(v) in
+              let lit_true l = if l > 0 then value l else not (value (-l)) in
+              let site =
+                match List.find_opt (fun (_, d) -> lit_true d) diffs with
+                | Some (site, _) -> site
+                | None -> fst (List.hd diffs)
+              in
+              Inequivalent (build_cex value site))
+        end
+      with Early v -> v
+end
+
+let sat_conflicts = Telemetry.Counter.make "sat.conflicts"
+let sat_calls = Telemetry.Counter.make "sat.solve.calls"
+
+(* One CEC case per seed: an optimized twin, a seeded mutant, a fault
+   replica with its select cells tied low or left armed, or a pair checked
+   under a conflict budget of at most three or none: ALU8 against its
+   carry-select twin (SAT-proved with a few hundred conflicts, [Unknown]
+   under a budget) or a budgeted mutant.  Returns the two
+   verdicts and the SAT conflicts and calls each run spent. *)
+let cec_case seed =
+  let rng = Random.State.make [| seed; 0xcec |] in
+  let random_nl () = build_random_netlist rng in
+  let alu_spec () =
+    let reg prefix = Printf.sprintf "%s%d" prefix (Random.State.int rng 8) in
+    {
+      Fault.start_dff = reg (if Random.State.bool rng then "a_q" else "b_q");
+      end_dff = reg "r_q";
+      kind = (if Random.State.bool rng then Fault.Setup_violation else Fault.Hold_violation);
+      constant = (if Random.State.bool rng then Fault.C0 else Fault.C1);
+      activation = Fault.Any_transition;
+    }
+  in
+  let run f =
+    let c0 = Telemetry.Counter.value sat_conflicts and k0 = Telemetry.Counter.value sat_calls in
+    let v = f () in
+    (v, Telemetry.Counter.value sat_conflicts - c0, Telemetry.Counter.value sat_calls - k0)
+  in
+  let both ?free_inputs ?tie_low ?max_conflicts a b =
+    ( run (fun () -> Cec.check ?free_inputs ?tie_low ?max_conflicts a b),
+      run (fun () -> Eager_cec.check ?free_inputs ?tie_low ?max_conflicts a b) )
+  in
+  match Random.State.int rng 5 with
+  | 0 ->
+    let nl = random_nl () in
+    both nl (fst (Netlist_opt.optimize nl))
+  | 1 ->
+    let nl = random_nl () in
+    both nl (fst (Check.mutate ~seed nl))
+  | 2 ->
+    let faulty = Fault.failing_netlist alu8 (alu_spec ()) in
+    both ~free_inputs:true ~tie_low:(Fault.select_cells faulty) alu8 faulty
+  | 3 -> both ~free_inputs:true alu8 (Fault.failing_netlist alu8 (alu_spec ()))
+  | _ ->
+    let max_conflicts = if Random.State.int rng 5 = 0 then None else Some (Random.State.int rng 4) in
+    if Random.State.bool rng then
+      both ?max_conflicts (Alu.netlist ~width:8 ()) (Alu.netlist ~width:8 ~adder:Alu.Carry_select ())
+    else begin
+      let nl = random_nl () in
+      both ?max_conflicts nl (fst (Check.mutate ~seed nl))
+    end
+
+let qcheck_cec_matches_eager =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:150 ~name:"Cec.check = eager encoder: verdict, cex, conflicts"
+       (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 10_000_000))
+       (fun seed ->
+         Telemetry.enable ~clock:(Telemetry.Clock.virtual_ ()) ();
+         let (v, c, k), (v', c', k') = cec_case seed in
+         Telemetry.disable ();
+         if v <> v' then
+           QCheck.Test.fail_reportf "seed %d: %s, eager: %s" seed (Cec.describe v) (Cec.describe v');
+         if (c, k) <> (c', k') then
+           QCheck.Test.fail_reportf "seed %d: %d conflicts in %d calls, eager %d in %d" seed c k c'
+             k';
+         true))
+
+(* Every kind of case the property draws does occur, SAT-decided ones
+   and budget-exhausted ones included. *)
+let test_cec_oracle_coverage () =
+  let seen = Hashtbl.create 8 in
+  for seed = 0 to 149 do
+    Telemetry.enable ~clock:(Telemetry.Clock.virtual_ ()) ();
+    let (v, _, calls), _ = cec_case seed in
+    Telemetry.disable ();
+    let kind =
+      match v with
+      | Cec.Equivalent -> if calls > 0 then "equivalent by SAT" else "equivalent structurally"
+      | Cec.Inequivalent _ -> if calls > 0 then "inequivalent by SAT" else "inequivalent structurally"
+      | Cec.Unknown -> "unknown"
+    in
+    Hashtbl.replace seen kind ()
+  done;
+  List.iter
+    (fun kind -> Alcotest.(check bool) kind true (Hashtbl.mem seen kind))
+    [
+      "equivalent by SAT";
+      "equivalent structurally";
+      "inequivalent by SAT";
+      "inequivalent structurally";
+      "unknown";
+    ]
+
 let () =
   Alcotest.run "check"
     [
@@ -360,4 +746,9 @@ let () =
         ] );
       ( "properties",
         [ qcheck_optimize_equiv; qcheck_mutation_caught; qcheck_random_netlists_lint_clean ] );
+      ( "cec oracle",
+        [
+          qcheck_cec_matches_eager;
+          Alcotest.test_case "every case kind drawn" `Quick test_cec_oracle_coverage;
+        ] );
     ]

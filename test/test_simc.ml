@@ -443,6 +443,284 @@ let prop_single_lane_sampling =
          | Ok () -> true
          | Error msg -> QCheck.Test.fail_reportf "seed %d: %s" seed msg))
 
+(* --- change-gated settle ---
+
+   Units register their boundaries: some input ports reach the logic only
+   through a register (their bits feed D pins alone) and some output ports
+   are registers nothing else reads.  Writes to those words must not re-run
+   the program, yet every read must stay exact, including dead nets that
+   read them through the fallback interpreter. *)
+let build_registered_netlist rng =
+  let b = B.create "registered" in
+  let pool = ref [] and raw = ref [] in
+  let dff d = B.add_cell ~clock_domain:0 ~reset_value:(Random.State.bool rng) b Cell.Kind.Dff [| d |] in
+  for i = 0 to Random.State.int rng 3 do
+    let bits = B.add_input b (Printf.sprintf "in%d" i) (1 + Random.State.int rng 4) in
+    let registered = Random.State.bool rng in
+    Array.iter
+      (fun n ->
+        raw := n :: !raw;
+        pool := (if registered then dff n else n) :: !pool)
+      bits
+  done;
+  let pick_from l =
+    let a = Array.of_list l in
+    a.(Random.State.int rng (Array.length a))
+  in
+  let pick () = pick_from !pool in
+  for _ = 1 to 3 + Random.State.int rng 20 do
+    let out =
+      if Random.State.int rng 5 = 0 then dff (pick ())
+      else begin
+        let k = comb_kinds.(Random.State.int rng (Array.length comb_kinds)) in
+        B.add_cell b k (Array.init (Cell.Kind.arity k) (fun _ -> pick ()))
+      end
+    in
+    pool := out :: !pool
+  done;
+  let out_regs = ref [] in
+  for i = 0 to Random.State.int rng 2 do
+    let w = 1 + Random.State.int rng 3 in
+    let bits =
+      if Random.State.bool rng then
+        Array.init w (fun _ ->
+            let q = dff (pick ()) in
+            out_regs := q :: !out_regs;
+            q)
+      else Array.init w (fun _ -> pick ())
+    in
+    B.add_output b (Printf.sprintf "out%d" i) bits
+  done;
+  (* dead logic over raw input bits and output registers: no compiled op
+     reads those words, so only the fallback sees their changes *)
+  let dead_src () = pick_from (!raw @ !out_regs @ !pool) in
+  let d1 = B.add_cell b Cell.Kind.Xor2 [| dead_src (); dead_src () |] in
+  let _d2 = B.add_cell b Cell.Kind.Mux2 [| d1; dead_src (); dead_src () |] in
+  B.finish b
+
+type gated_op = Write of string * int array | Step | Reset
+
+(* Random interleavings of repeated and changing writes (through every
+   Simc write entry point), step, hold_clock, snapshot/restore and reset
+   on an optimized and a profiled Simc.  Sim64 replays the effective
+   history (it has no snapshots); one profiled scalar Sim per lane
+   follows every operation.  After each operation, output ports are read
+   first, then every net word, then the profile counters. *)
+let gated_run rng nl n_ops =
+  let nlanes = Simc.lanes in
+  let sco = Simc.create nl and scp = Simc.create ~profile:true nl in
+  let refs = Array.init nlanes (fun _ -> Sim.create ~profile:true nl) in
+  let in_ports = Array.of_list (Netlist.inputs nl) in
+  let num_nets = Netlist.num_nets nl in
+  let cur = Hashtbl.create 8 in
+  let zero_inputs () =
+    Array.iter
+      (fun (p : Netlist.port) ->
+        Hashtbl.replace cur p.Netlist.port_name (Array.make (Array.length p.Netlist.port_nets) 0))
+      in_ports
+  in
+  zero_inputs ();
+  let history = ref [] in
+  let sim64_of_history h =
+    let s = Sim64.create nl in
+    List.iter
+      (function
+        | Write (port, words) -> Sim64.set_input_words s port words
+        | Step -> Sim64.step s
+        | Reset -> Sim64.reset s)
+      (List.rev h);
+    s
+  in
+  let s64 = ref (sim64_of_history []) in
+  let saved = ref None in
+  let fail = ref None in
+  let report i msg = if !fail = None then fail := Some (Printf.sprintf "op %d: %s" i msg) in
+  let lane_value words lane =
+    Array.fold_left (fun (acc, i) w -> (acc lor (((w lsr lane) land 1) lsl i), i + 1)) (0, 0) words
+    |> fst
+  in
+  let write name words =
+    Hashtbl.replace cur name words;
+    history := Write (name, Array.copy words) :: !history;
+    Sim64.set_input_words !s64 name words;
+    Array.iteri
+      (fun lane r -> Sim.set_input r name (bv (Array.length words) (lane_value words lane)))
+      refs
+  in
+  let drive ~change =
+    let p = in_ports.(Random.State.int rng (Array.length in_ports)) in
+    let name = p.Netlist.port_name in
+    let w = Array.length p.Netlist.port_nets in
+    let old = Hashtbl.find cur name in
+    let words = Array.copy old in
+    let lane = Random.State.int rng nlanes in
+    let bit = 1 lsl lane in
+    (match Random.State.int rng 4 with
+    | 0 ->
+      if change then Array.iteri (fun i _ -> words.(i) <- Sim64.random_word rng) words;
+      List.iter (fun s -> Simc.set_input_words s name words) [ sco; scp ]
+    | 1 ->
+      let v =
+        if change then rand_bits rng w
+        else
+          (* the current value only if every lane holds it *)
+          let v0 = lane_value old 0 in
+          if Array.for_all (fun x -> x = 0 || x = Simc.all_lanes) old then v0 else -1
+      in
+      if v >= 0 then begin
+        Array.iteri (fun i _ -> words.(i) <- (if (v lsr i) land 1 = 1 then Simc.all_lanes else 0)) words;
+        List.iter (fun s -> Simc.set_input_all s name (bv w v)) [ sco; scp ]
+      end
+    | 2 ->
+      let v = if change then rand_bits rng w else lane_value old lane in
+      Array.iteri
+        (fun i x -> words.(i) <- (if (v lsr i) land 1 = 1 then x lor bit else x land lnot bit))
+        old;
+      List.iter (fun s -> Simc.set_input s ~lane name (bv w v)) [ sco; scp ]
+    | _ ->
+      let i = Random.State.int rng w in
+      let v = if change then Random.State.bool rng else (old.(i) lsr lane) land 1 = 1 in
+      words.(i) <- (if v then old.(i) lor bit else old.(i) land lnot bit);
+      List.iter (fun s -> Simc.set_input_bit s ~lane name i v) [ sco; scp ]);
+    write name words
+  in
+  let check i =
+    Sim64.settle !s64;
+    Array.iter Sim.settle refs;
+    List.iter
+      (fun (p : Netlist.port) ->
+        let name = p.Netlist.port_name in
+        let want = Sim64.output_words !s64 name in
+        List.iter
+          (fun (what, s) ->
+            if Simc.output_words s name <> want then
+              report i (Printf.sprintf "%s output %s <> Sim64" what name);
+            for lane = 0 to nlanes - 1 do
+              if not (Bitvec.equal (Sim.output refs.(lane) name) (Simc.output s ~lane name)) then
+                report i (Printf.sprintf "%s output %s lane %d <> scalar" what name lane)
+            done)
+          [ ("simc", sco); ("simc(profile)", scp) ])
+      (Netlist.outputs nl);
+    for n = 0 to num_nets - 1 do
+      let want = Sim64.net_word !s64 n in
+      if Simc.net_word sco n <> want then report i (Printf.sprintf "simc net %d <> Sim64" n);
+      if Simc.net_word scp n <> want then report i (Printf.sprintf "simc(profile) net %d <> Sim64" n)
+    done;
+    let samples = Sim.samples refs.(0) in
+    if Simc.samples scp <> nlanes * samples then report i "profile sample count";
+    if samples > 0 then
+      for n = 0 to num_nets - 1 do
+        let ones = Array.fold_left (fun acc r -> acc + scalar_ones r n) 0 refs in
+        let toggles = Array.fold_left (fun acc r -> acc + scalar_toggles r n) 0 refs in
+        if Simc.ones_count scp n <> ones then report i (Printf.sprintf "net %d: ones counter" n);
+        if Simc.toggles_count scp n <> toggles then
+          report i (Printf.sprintf "net %d: toggles counter" n)
+      done
+  in
+  for i = 1 to n_ops do
+    (match Random.State.int rng 11 with
+    | 0 | 1 | 2 -> drive ~change:true
+    | 3 | 4 -> drive ~change:false
+    | 5 | 6 ->
+      List.iter (fun s -> Simc.step s) [ sco; scp ];
+      Array.iter (fun r -> Sim.step r) refs;
+      history := Step :: !history;
+      Sim64.step !s64
+    | 7 ->
+      List.iter Simc.hold_clock [ sco; scp ];
+      Array.iter Sim.hold_clock refs
+    | 8 ->
+      saved :=
+        Some
+          ( Simc.snapshot sco,
+            Simc.snapshot scp,
+            Array.map Sim.snapshot refs,
+            !history,
+            Hashtbl.copy cur )
+    | 9 -> (
+      match !saved with
+      | None -> ()
+      | Some (so, sp, sr, h, c) ->
+        Simc.restore sco so;
+        Simc.restore scp sp;
+        Array.iter2 Sim.restore refs sr;
+        history := h;
+        s64 := sim64_of_history h;
+        Hashtbl.reset cur;
+        Hashtbl.iter (Hashtbl.replace cur) c)
+    | _ ->
+      List.iter Simc.reset [ sco; scp ];
+      Array.iter Sim.reset refs;
+      history := Reset :: !history;
+      Sim64.reset !s64;
+      zero_inputs ());
+    check i
+  done;
+  match !fail with None -> Ok () | Some msg -> Error msg
+
+let prop_gated_settle =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"gated settle = Sim64 = scalar Sim under any interleaving"
+       (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 10_000_000))
+       (fun seed ->
+         let rng = Random.State.make [| seed; 0x9a7e |] in
+         let nl = build_registered_netlist rng in
+         match gated_run rng nl (8 + Random.State.int rng 24) with
+         | Ok () -> true
+         | Error msg -> QCheck.Test.fail_reportf "seed %d: first divergence at %s" seed msg))
+
+(* The ALU registers its operands and its result, so the logic re-runs
+   only on the edge after the operand registers changed: a bubble settles
+   the previous issue (one pass), and neither the issue that follows nor
+   a result read after the bubble's edge evaluates a gate. *)
+let test_alu16_gate_evals () =
+  let s = Simc.create (Alu.netlist ~width:16 ()) in
+  let evals = Telemetry.Counter.make "simc.gate_evals" in
+  Telemetry.enable ~clock:(Telemetry.Clock.virtual_ ()) ();
+  let cost f =
+    let before = Telemetry.Counter.value evals in
+    let r = f () in
+    (Telemetry.Counter.value evals - before, r)
+  in
+  let issue op a b () =
+    Simc.set_input_all s Alu.op_port (bv 4 (Alu.op_code op));
+    Simc.set_input_all s Alu.a_port (bv 16 a);
+    Simc.set_input_all s Alu.b_port (bv 16 b);
+    Simc.step s
+  in
+  let result () = Bitvec.to_int (Simc.output s ~lane:0 Alu.r_port) in
+  let golden op a b = Bitvec.to_int (Alu.golden ~width:16 op (bv 16 a) (bv 16 b)) in
+  let pass = Simc.program_length s in
+  let rounds =
+    List.map
+      (fun (op, a, b) ->
+        let c_issue, () = cost (issue op a b) in
+        let c_bubble, () = cost (fun () -> Simc.step s) in
+        let c_read, r = cost result in
+        Alcotest.(check int) "result after the bubble" (golden op a b) r;
+        (c_issue, c_bubble, c_read))
+      [ (Alu.Add, 1234, 4321); (Alu.Sub, 7, 300); (Alu.Xor_op, 0xffff, 0x0f0f) ]
+  in
+  (* back to back: the issue edge's operands settle once, at the read or
+     at the next edge, whichever comes first *)
+  let c_back, () =
+    cost (fun () ->
+        issue Alu.Add 5 6 ();
+        ignore (result ());
+        issue Alu.Sub 9 4 ())
+  in
+  let c_again, () = cost (issue Alu.Sub 9 4) in
+  Telemetry.disable ();
+  List.iteri
+    (fun i (c_issue, c_bubble, c_read) ->
+      (* the first issue follows reset, whose pass already ran *)
+      Alcotest.(check int) (Printf.sprintf "round %d: issue adds no evaluation" i) 0 c_issue;
+      Alcotest.(check int) (Printf.sprintf "round %d: the bubble is one pass" i) pass c_bubble;
+      Alcotest.(check int) (Printf.sprintf "round %d: read after the edge adds none" i) 0 c_read)
+    rounds;
+  Alcotest.(check int) "two back-to-back issues: one pass for the first's operands" pass c_back;
+  Alcotest.(check int) "held operands re-issued: one pass for the previous edge" pass c_again
+
 let () =
   Alcotest.run "simc"
     [
@@ -466,5 +744,10 @@ let () =
           Alcotest.test_case "validation" `Quick test_validation;
           Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
           Alcotest.test_case "active mask" `Quick test_active_mask_restricts_counters;
+        ] );
+      ( "gated settle",
+        [
+          prop_gated_settle;
+          Alcotest.test_case "ALU16 gate evaluations" `Quick test_alu16_gate_evals;
         ] );
     ]

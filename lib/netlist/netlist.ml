@@ -14,6 +14,19 @@ type port = { port_name : string; port_nets : net array }
 
 type driver = Driven_by_cell of int | Driven_by_input of string * int
 
+(* Cell name -> id.  A netlist built by extending another keeps that one's
+   table and holds only its new names in [table]; a lookup walks the chain,
+   which is cut to a flat table every [max_names_depth] links.  Never
+   mutated once the netlist is built, so domains may share it. *)
+type names = { table : (string, int) Hashtbl.t; up : names option; depth : int }
+
+let max_names_depth = 8
+
+let rec find_id names name =
+  match Hashtbl.find_opt names.table name with
+  | Some _ as id -> id
+  | None -> ( match names.up with Some up -> find_id up name | None -> None)
+
 type t = {
   name : string;
   cells : cell array;
@@ -24,7 +37,7 @@ type t = {
   readers : int list array;
   topo : int array;
   dffs : int list;
-  by_name : (string, int) Hashtbl.t;
+  by_name : names;
 }
 
 let name t = t.name
@@ -57,7 +70,7 @@ let topo_order t = t.topo
 let dffs t = t.dffs
 
 let find_cell t name =
-  match Hashtbl.find_opt t.by_name name with
+  match find_id t.by_name name with
   | Some i -> t.cells.(i)
   | None -> raise Not_found
 
@@ -260,10 +273,11 @@ module Raw = struct
   }
 end
 
-let raw t =
+let raw_of name num_nets cells inputs outputs =
+  let rport p = { Raw.rp_name = p.port_name; rp_nets = Array.copy p.port_nets } in
   {
-    Raw.r_name = t.name;
-    r_num_nets = t.num_nets;
+    Raw.r_name = name;
+    r_num_nets = num_nets;
     r_cells =
       Array.map
         (fun (c : cell) ->
@@ -275,39 +289,34 @@ let raw t =
             rc_clock_domain = c.clock_domain;
             rc_reset_value = c.reset_value;
           })
-        t.cells;
-    r_inputs =
-      List.map (fun p -> { Raw.rp_name = p.port_name; rp_nets = Array.copy p.port_nets }) t.inputs;
-    r_outputs =
-      List.map (fun p -> { Raw.rp_name = p.port_name; rp_nets = Array.copy p.port_nets }) t.outputs;
+        cells;
+    r_inputs = List.map rport inputs;
+    r_outputs = List.map rport outputs;
   }
+
+let raw t = raw_of t.name t.num_nets t.cells t.inputs t.outputs
 
 module Builder = struct
   type netlist = t
 
-  type b_cell = {
-    mutable b_kind : Cell.Kind.t;
-    b_name : string;
-    b_inputs : net array;  (* elements are rewired in place *)
-    b_output : net;
-    b_clock_domain : int;
-    b_reset_value : bool;
-  }
-
+  (* An extending builder starts from the parent's cell records and copies
+     one only when it is first edited; the parent is never mutated. *)
   type t = {
     b_netlist_name : string;
+    parent : netlist option;
     mutable next_net : int;
-    mutable cells_arr : b_cell array;  (* cells indexed by id; grows *)
+    mutable cells_arr : cell array;  (* cells indexed by id; grows *)
     mutable count : int;
     mutable rev_inputs : port list;
     mutable rev_outputs : port list;
-    names : (string, unit) Hashtbl.t;
+    names : (string, int) Hashtbl.t;  (* cells added to this builder *)
     mutable anon : int;
   }
 
   let create netlist_name =
     {
       b_netlist_name = netlist_name;
+      parent = None;
       next_net = 0;
       cells_arr = [||];
       count = 0;
@@ -328,25 +337,30 @@ module Builder = struct
     b.count <- b.count + 1
 
   let of_netlist (nl : netlist) =
-    (* sized for the copied cells, so the name table never rehashes *)
-    let b = { (create nl.name) with names = Hashtbl.create (2 * Array.length nl.cells) } in
-    b.next_net <- nl.num_nets;
-    b.rev_inputs <- List.rev nl.inputs;
-    b.rev_outputs <- List.rev nl.outputs;
-    Array.iter
-      (fun (c : cell) ->
-        Hashtbl.replace b.names c.name ();
-        push_cell b
-          {
-            b_kind = c.kind;
-            b_name = c.name;
-            b_inputs = Array.copy c.inputs;
-            b_output = c.output;
-            b_clock_domain = c.clock_domain;
-            b_reset_value = c.reset_value;
-          })
-      nl.cells;
-    b
+    {
+      (create nl.name) with
+      parent = Some nl;
+      next_net = nl.num_nets;
+      cells_arr = Array.copy nl.cells;
+      count = Array.length nl.cells;
+      rev_inputs = List.rev nl.inputs;
+      rev_outputs = List.rev nl.outputs;
+      names = Hashtbl.create 16;
+    }
+
+  (* Is [c], at [id], still the parent's own record? *)
+  let shared b id c =
+    match b.parent with Some p -> id < Array.length p.cells && p.cells.(id) == c | None -> false
+
+  (* The cell at [id], copied first if it is still the parent's. *)
+  let own b id =
+    let c = b.cells_arr.(id) in
+    if not (shared b id c) then c
+    else begin
+      let c = { c with inputs = Array.copy c.inputs } in
+      b.cells_arr.(id) <- c;
+      c
+    end
 
   let fresh_net b =
     let n = b.next_net in
@@ -383,20 +397,23 @@ module Builder = struct
         b.anon <- b.anon + 1;
         Printf.sprintf "_%s_%d" (String.lowercase_ascii (Cell.Kind.to_string kind)) b.anon
     in
-    if Hashtbl.mem b.names name then
+    let in_parent = match b.parent with Some p -> find_id p.by_name name <> None | None -> false in
+    if in_parent || Hashtbl.mem b.names name then
       invalid_arg (Printf.sprintf "Builder.add_cell: duplicate cell name %s" name);
-    Hashtbl.replace b.names name ();
+    let id = b.count in
+    Hashtbl.replace b.names name id;
     let output = fresh_net b in
     push_cell b
       {
-        b_kind = kind;
-        b_name = name;
-        b_inputs = Array.copy inputs;
-        b_output = output;
-        b_clock_domain = (if Cell.Kind.is_sequential kind then clock_domain else -1);
-        b_reset_value = reset_value;
+        id;
+        kind;
+        name;
+        inputs = Array.copy inputs;
+        output;
+        clock_domain = (if Cell.Kind.is_sequential kind then clock_domain else -1);
+        reset_value;
       };
-    (b.count - 1, output)
+    (id, output)
 
   let add_cell ?name ?clock_domain ?reset_value b kind inputs =
     snd (add_cell_with_id ?name ?clock_domain ?reset_value b kind inputs)
@@ -407,11 +424,11 @@ module Builder = struct
     if cell_id < 0 || cell_id >= b.count then
       invalid_arg (Printf.sprintf "Builder.rewire_input: no cell %d" cell_id);
     let c = b.cells_arr.(cell_id) in
-    if pin < 0 || pin >= Array.length c.b_inputs then
-      invalid_arg (Printf.sprintf "Builder.rewire_input: cell %s has no pin %d" c.b_name pin);
+    if pin < 0 || pin >= Array.length c.inputs then
+      invalid_arg (Printf.sprintf "Builder.rewire_input: cell %s has no pin %d" c.name pin);
     if net < 0 || net >= b.next_net then
       invalid_arg (Printf.sprintf "Builder.rewire_input: unknown net %d" net);
-    c.b_inputs.(pin) <- net
+    (own b cell_id).inputs.(pin) <- net
 
   let rewire_output b ~port ~bit net =
     if net < 0 || net >= b.next_net then
@@ -433,59 +450,32 @@ module Builder = struct
     if cell_id < 0 || cell_id >= b.count then
       invalid_arg (Printf.sprintf "Builder.set_kind: no cell %d" cell_id);
     let c = b.cells_arr.(cell_id) in
-    if Cell.Kind.arity kind <> Array.length c.b_inputs then
+    if Cell.Kind.arity kind <> Array.length c.inputs then
       invalid_arg
         (Printf.sprintf "Builder.set_kind: %s expects %d inputs, cell %s has %d"
-           (Cell.Kind.to_string kind) (Cell.Kind.arity kind) c.b_name (Array.length c.b_inputs));
-    if Cell.Kind.is_sequential kind <> Cell.Kind.is_sequential c.b_kind then
+           (Cell.Kind.to_string kind) (Cell.Kind.arity kind) c.name (Array.length c.inputs));
+    if Cell.Kind.is_sequential kind <> Cell.Kind.is_sequential c.kind then
       invalid_arg
-        (Printf.sprintf "Builder.set_kind: cannot change sequentiality of cell %s" c.b_name);
-    c.b_kind <- kind
+        (Printf.sprintf "Builder.set_kind: cannot change sequentiality of cell %s" c.name);
+    b.cells_arr.(cell_id) <- { (own b cell_id) with kind }
 
   let cell_output b id =
     if id < 0 || id >= b.count then
       invalid_arg (Printf.sprintf "Builder.cell_output: no cell %d" id);
-    b.cells_arr.(id).b_output
+    b.cells_arr.(id).output
 
   let raw b =
-    {
-      Raw.r_name = b.b_netlist_name;
-      r_num_nets = b.next_net;
-      r_cells =
-        Array.init b.count (fun i ->
-            let c = b.cells_arr.(i) in
-            {
-              Raw.rc_name = c.b_name;
-              rc_kind = c.b_kind;
-              rc_inputs = Array.copy c.b_inputs;
-              rc_output = c.b_output;
-              rc_clock_domain = c.b_clock_domain;
-              rc_reset_value = c.b_reset_value;
-            });
-      r_inputs =
-        List.rev_map
-          (fun p -> { Raw.rp_name = p.port_name; rp_nets = Array.copy p.port_nets })
-          b.rev_inputs;
-      r_outputs =
-        List.rev_map
-          (fun p -> { Raw.rp_name = p.port_name; rp_nets = Array.copy p.port_nets })
-          b.rev_outputs;
-    }
+    raw_of b.b_netlist_name b.next_net (Array.sub b.cells_arr 0 b.count) (List.rev b.rev_inputs)
+      (List.rev b.rev_outputs)
 
   let finish b =
     let num_nets = b.next_net in
+    (* the parent's untouched records are reused as they are; the
+       builder's own are copied, so later edits cannot reach the result *)
     let cells =
       Array.init b.count (fun i ->
           let c = b.cells_arr.(i) in
-          {
-            id = i;
-            kind = c.b_kind;
-            name = c.b_name;
-            inputs = Array.copy c.b_inputs;
-            output = c.b_output;
-            clock_domain = c.b_clock_domain;
-            reset_value = c.b_reset_value;
-          })
+          if shared b i c then c else { c with inputs = Array.copy c.inputs })
     in
     let inputs = List.rev b.rev_inputs and outputs = List.rev b.rev_outputs in
     let drivers = Array.make (max num_nets 1) (Driven_by_cell (-1)) in
@@ -573,8 +563,15 @@ module Builder = struct
       Array.to_list cells
       |> List.filter_map (fun c -> if Cell.Kind.is_sequential c.kind then Some c.id else None)
     in
-    let by_name = Hashtbl.create (Array.length cells) in
-    Array.iter (fun (c : cell) -> Hashtbl.replace by_name c.name c.id) cells;
+    let by_name =
+      match b.parent with
+      | Some p when p.by_name.depth < max_names_depth ->
+        { table = Hashtbl.copy b.names; up = Some p.by_name; depth = p.by_name.depth + 1 }
+      | _ ->
+        let table = Hashtbl.create (Array.length cells) in
+        Array.iter (fun (c : cell) -> Hashtbl.replace table c.name c.id) cells;
+        { table; up = None; depth = 0 }
+    in
     {
       name = b.b_netlist_name;
       cells;

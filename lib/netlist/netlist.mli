@@ -15,7 +15,15 @@
 
     The frozen netlist precomputes the driver map, fan-out lists and a
     topological order of the combinational cells, which the simulator, the
-    STA engine and the CNF encoder all reuse. *)
+    STA engine and the CNF encoder all reuse.
+
+    A netlist built by extending another ({!Builder.of_netlist}) shares
+    every cell record it did not edit with that netlist, and its name
+    lookup falls through to that netlist's.  So a cell record, its
+    [inputs] array included, belongs to every netlist that holds it: no
+    code may mutate a finished cell's [inputs] (copy the array first).
+    Physically equal records ([==]) at the same id are the same cell, which
+    the BMC encoder uses to reuse clauses across netlists. *)
 
 type net = int
 (** Nets are dense indices in [[0, num_nets)]. *)
@@ -143,8 +151,12 @@ module Builder : sig
   (** Fresh empty builder for a netlist with the given name. *)
 
   val of_netlist : netlist -> t
-  (** Builder seeded with a copy of an existing netlist — the entry point of
-      every instrumentation transform.  Cell ids and nets are preserved. *)
+  (** Builder that extends an existing netlist — the entry point of every
+      instrumentation transform.  Cell ids and nets are preserved.  The
+      existing netlist is never mutated: {!rewire_input} and {!set_kind}
+      copy a cell's record on its first edit, and {!finish} reuses every
+      record left unedited, so extending costs what the edits add rather
+      than a copy of every cell. *)
 
   val fresh_net : t -> net
   val add_input : t -> string -> int -> net array

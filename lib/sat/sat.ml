@@ -271,19 +271,23 @@ let bump_var t v =
 
 let decay_activities t = t.var_inc <- t.var_inc /. 0.95
 
+(* Make room for [n] ints at the end of the arena. *)
+let reserve t n =
+  let stop = t.arena_len + n in
+  if stop > Array.length t.arena then begin
+    let a = Array.make (max stop (2 * Array.length t.arena)) 0 in
+    Array.blit t.arena 0 a 0 t.arena_len;
+    t.arena <- a
+  end
+
 (* Append the first [len] literals of [lits] as a clause; returns its
    offset. *)
 let store_clause t lits len =
+  reserve t (1 + len);
   let ci = t.arena_len in
-  let stop = ci + 1 + len in
-  if stop > Array.length t.arena then begin
-    let a = Array.make (max stop (2 * Array.length t.arena)) 0 in
-    Array.blit t.arena 0 a 0 ci;
-    t.arena <- a
-  end;
   t.arena.(ci) <- len;
   Array.blit lits 0 t.arena (ci + 1) len;
-  t.arena_len <- stop;
+  t.arena_len <- ci + 1 + len;
   ci
 
 let push_watch t i ci =
@@ -430,74 +434,128 @@ let analyze t confl =
   Array.iter (fun q -> t.seen.(abs q) <- false) learnt;
   (learnt, !bt)
 
+(* Sort [a] ascending and merge duplicates in place; returns the length
+   of the strictly ascending result, or -1 for a tautology. *)
+let normalize a =
+  (* insertion sort: almost every clause has two to four literals, and
+     the widest ones (Cec's difference OR) come once per check *)
+  for i = 1 to Array.length a - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done;
+  (* merge duplicates: [a.(0) .. a.(m-1)] strictly ascending *)
+  let m = ref 0 in
+  for i = 0 to Array.length a - 1 do
+    if !m = 0 || a.(!m - 1) <> a.(i) then begin
+      a.(!m) <- a.(i);
+      incr m
+    end
+  done;
+  let m = !m in
+  (* tautology: negatives come first, by decreasing variable, then
+     positives by increasing variable, so walk the two runs outward from
+     their boundary like a merge *)
+  let p = ref 0 in
+  while !p < m && a.(!p) < 0 do
+    incr p
+  done;
+  let taut = ref false in
+  let i = ref (!p - 1) and j = ref !p in
+  while (not !taut) && !i >= 0 && !j < m do
+    let vn = -a.(!i) and vp = a.(!j) in
+    if vn = vp then taut := true else if vn < vp then decr i else incr j
+  done;
+  if !taut then -1 else m
+
+(* Root-level intake of one normalised clause: the [len] literals of [src]
+   from [pos], each moved [shift] variables up.  The literals not false at
+   the root are written straight after the arena's end, keeping their
+   order; one true there satisfies the clause. *)
+let store_root t src pos len shift =
+  reserve t (1 + len);
+  let a = t.arena and ci = t.arena_len in
+  let satisfied = ref false and k = ref 0 in
+  for i = pos to pos + len - 1 do
+    let l = src.(i) in
+    let l = if l > 0 then l + shift else l - shift in
+    match lit_value t l with
+    | 1 -> satisfied := true
+    | -1 -> ()
+    | _ ->
+      a.(ci + 1 + !k) <- l;
+      incr k
+  done;
+  if not !satisfied then
+    match !k with
+    | 0 -> t.ok <- false
+    | 1 ->
+      enqueue t a.(ci + 1) (-1);
+      if propagate t <> -1 then t.ok <- false
+    | k ->
+      a.(ci) <- k;
+      t.arena_len <- ci + 1 + k;
+      t.nproblem <- t.nproblem + 1;
+      Vec.push t.problem_idx ci;
+      watch_clause t ci
+
+let check_range t lits pos len shift =
+  for i = pos to pos + len - 1 do
+    let v = abs lits.(i) in
+    if v < 1 || v + shift > t.nvars then
+      invalid_arg (Printf.sprintf "Sat.add_clause: unknown variable %d" (v + shift))
+  done
+
 let add_clause_array t a =
-  Array.iter
-    (fun l ->
-      let v = abs l in
-      if v < 1 || v > t.nvars then
-        invalid_arg (Printf.sprintf "Sat.add_clause: unknown variable %d" v))
-    a;
+  check_range t a 0 (Array.length a) 0;
   if t.ok then begin
     backtrack t 0;
     t.last_result <- Unknown;
-    (* insertion sort: almost every clause has two to four literals, and
-       the widest ones (Cec's difference OR) come once per check *)
-    for i = 1 to Array.length a - 1 do
-      let x = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && a.(!j) > x do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- x
-    done;
-    (* merge duplicates: [a.(0) .. a.(m-1)] strictly ascending *)
-    let m = ref 0 in
-    for i = 0 to Array.length a - 1 do
-      if !m = 0 || a.(!m - 1) <> a.(i) then begin
-        a.(!m) <- a.(i);
-        incr m
-      end
-    done;
-    let m = !m in
-    (* tautology: negatives come first, by decreasing variable, then
-       positives by increasing variable, so walk the two runs outward from
-       their boundary like a merge *)
-    let p = ref 0 in
-    while !p < m && a.(!p) < 0 do
-      incr p
-    done;
-    let taut = ref false in
-    let i = ref (!p - 1) and j = ref !p in
-    while (not !taut) && !i >= 0 && !j < m do
-      let vn = -a.(!i) and vp = a.(!j) in
-      if vn = vp then taut := true else if vn < vp then decr i else incr j
-    done;
-    (* keep the literals not false at the root; one true there satisfies
-       the clause *)
-    let satisfied = ref false and k = ref 0 in
-    for i = 0 to m - 1 do
-      match lit_value t a.(i) with
-      | 1 -> satisfied := true
-      | -1 -> ()
-      | _ ->
-        a.(!k) <- a.(i);
-        incr k
-    done;
-    if not (!taut || !satisfied) then
-      match !k with
-      | 0 -> t.ok <- false
-      | 1 ->
-        enqueue t a.(0) (-1);
-        if propagate t <> -1 then t.ok <- false
-      | k ->
-        let ci = store_clause t a k in
-        t.nproblem <- t.nproblem + 1;
-        Vec.push t.problem_idx ci;
-        watch_clause t ci
+    let m = normalize a in
+    if m >= 0 then store_root t a 0 m 0
   end
 
 let add_clause t lits = add_clause_array t (Array.of_list lits)
+
+(* A block is a [Vec.t] of normalised clauses, each a length header then
+   its literals. *)
+type block = Vec.t
+
+let block () = Vec.create ()
+let block_size = Vec.size
+
+let block_add b a =
+  if Array.exists (( = ) 0) a then invalid_arg "Sat.block_add: literal 0";
+  let m = normalize a in
+  if m >= 0 then begin
+    Vec.push b m;
+    for i = 0 to m - 1 do
+      Vec.push b a.(i)
+    done
+  end
+
+let add_block t ~shift ?len (b : block) =
+  let len = Option.value len ~default:(Vec.size b) in
+  if shift < 0 || len < 0 || len > Vec.size b then invalid_arg "Sat.add_block: bad range";
+  let d = b.Vec.data in
+  let pos = ref 0 in
+  while !pos < len do
+    check_range t d (!pos + 1) d.(!pos) shift;
+    pos := !pos + 1 + d.(!pos)
+  done;
+  if t.ok then begin
+    backtrack t 0;
+    t.last_result <- Unknown;
+    let pos = ref 0 in
+    while t.ok && !pos < len do
+      store_root t d (!pos + 1) d.(!pos) shift;
+      pos := !pos + 1 + d.(!pos)
+    done
+  end
 
 (* Luby restart sequence: 1 1 2 1 1 2 4 ... *)
 let luby i =

@@ -99,6 +99,81 @@ let test_of_netlist_roundtrip () =
   let orig = Netlist.find_cell adder "$8" in
   Alcotest.(check bool) "same wiring" true (c.inputs = orig.inputs && c.output = orig.output)
 
+(* Everything a netlist exposes about its structure, for comparisons. *)
+let structure nl =
+  let nets = List.init (Netlist.num_nets nl) Fun.id in
+  ( Netlist.raw nl,
+    Netlist.to_verilog nl,
+    Netlist.topo_order nl,
+    List.map (Netlist.readers nl) nets,
+    List.map (Netlist.driver nl) nets,
+    Netlist.dffs nl )
+
+let test_of_netlist_shares () =
+  let unit = Alu.netlist ~width:8 () in
+  let copy = B.finish (B.of_netlist unit) in
+  Alcotest.(check bool) "every record shared" true
+    (Array.for_all2 ( == ) (Netlist.cells unit) (Netlist.cells copy));
+  Alcotest.(check bool) "equals a from-scratch build" true
+    (structure copy = structure (Alu.netlist ~width:8 ()))
+
+let test_of_netlist_copy_on_write () =
+  let before = Netlist.raw adder in
+  let b = B.of_netlist adder in
+  let c7 = Netlist.find_cell adder "$7" and c8 = Netlist.find_cell adder "$8" in
+  let a0 = (Netlist.find_input adder "a").port_nets.(0) in
+  B.rewire_input b ~cell_id:c7.id ~pin:0 a0;
+  B.set_kind b ~cell_id:c8.id Cell.Kind.Or2;
+  let extra = B.add_cell ~name:"extra" b Cell.Kind.Not [| c8.output |] in
+  B.add_output b "e" [| extra |];
+  let child = B.finish b in
+  Alcotest.(check bool) "parent unchanged" true (Netlist.raw adder = before);
+  Alcotest.(check bool) "rewired in the child" true
+    ((Netlist.find_cell child "$7").inputs.(0) = a0);
+  Alcotest.(check bool) "kind changed in the child" true
+    ((Netlist.find_cell child "$8").kind = Cell.Kind.Or2);
+  Array.iteri
+    (fun i c ->
+      Alcotest.(check bool)
+        (Printf.sprintf "cell %d shared iff unedited" i)
+        (i <> c7.id && i <> c8.id)
+        (c == Netlist.cell adder i))
+    (Array.sub (Netlist.cells child) 0 (Netlist.num_cells adder));
+  (* the builder's later edits reach neither netlist *)
+  let child_raw = Netlist.raw child in
+  B.rewire_input b ~cell_id:c7.id ~pin:1 a0;
+  B.rewire_input b ~cell_id:(Netlist.num_cells adder) ~pin:0 a0;
+  Alcotest.(check bool) "child unchanged by later edits" true (Netlist.raw child = child_raw);
+  Alcotest.(check bool) "parent unchanged by later edits" true (Netlist.raw adder = before)
+
+let test_of_netlist_names () =
+  let b = B.of_netlist adder in
+  Alcotest.check_raises "a parent's name is taken"
+    (Invalid_argument "Builder.add_cell: duplicate cell name $7") (fun () ->
+      ignore (B.add_cell ~name:"$7" b Cell.Kind.Not [| 0 |]));
+  (* a chain of extensions, each adding one cell, longer than the name
+     table's chain limit *)
+  let rec extend nl k =
+    if k = 0 then nl
+    else begin
+      let b = B.of_netlist nl in
+      ignore (B.add_cell ~name:(Printf.sprintf "n%d" k) b Cell.Kind.Not [| 0 |]);
+      extend (B.finish b) (k - 1)
+    end
+  in
+  let child = extend adder 20 in
+  Alcotest.check_raises "child names stay out of the parent" Not_found (fun () ->
+      ignore (Netlist.find_cell adder "n20"));
+  let expect = Array.to_list (Array.map (fun (c : Netlist.cell) -> (c.name, c.id)) (Netlist.cells child)) in
+  let lookups () =
+    List.for_all
+      (fun _ -> List.for_all (fun (name, id) -> (Netlist.find_cell child name).id = id) expect)
+      (List.init 200 Fun.id)
+  in
+  let d1 = Domain.spawn lookups and d2 = Domain.spawn lookups in
+  Alcotest.(check bool) "lookups from two domains" true (Domain.join d1 && Domain.join d2);
+  Alcotest.(check int) "every cell named" (Netlist.num_cells adder + 20) (List.length expect)
+
 let test_verilog_export () =
   let v = Netlist.to_verilog adder in
   Alcotest.(check bool) "has module header" true
@@ -294,6 +369,9 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_builder_validation;
           Alcotest.test_case "of_netlist round trip" `Quick test_of_netlist_roundtrip;
+          Alcotest.test_case "of_netlist shares every record" `Quick test_of_netlist_shares;
+          Alcotest.test_case "of_netlist copies on write" `Quick test_of_netlist_copy_on_write;
+          Alcotest.test_case "of_netlist names" `Quick test_of_netlist_names;
           Alcotest.test_case "verilog export" `Quick test_verilog_export;
           Alcotest.test_case "dot export" `Quick test_dot_export;
         ] );

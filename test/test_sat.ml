@@ -462,6 +462,77 @@ let prop_reset_is_create =
          let s = Sat.create () in
          List.for_all (fun inst -> reused_run s inst = fresh_run inst) insts))
 
+(* [Sat.add_block] against [Sat.add_clause_array]: a clause list fed one
+   clause at a time, moved up by a shift, must give what the same list
+   gives as a block replayed at that shift.  A few root units come first
+   (so replayed literals can be false or true at the root), and the block
+   is replayed twice, at successive shifts, like two cycles of a BMC
+   unrolling; the list's own unit clauses land mid-block. *)
+let arb_block_case =
+  let gen =
+    QCheck.Gen.(
+      QCheck.gen arb_raw_clauses >>= fun (nvars, clauses) ->
+      int_range 0 20 >>= fun shift ->
+      list_size (int_range 0 3) (int_range 1 (shift + (2 * nvars)) >>= fun v -> oneofl [ v; -v ])
+      >>= fun units -> return (nvars, clauses, shift, units))
+  in
+  QCheck.make
+    ~print:(fun (n, cs, shift, units) ->
+      Printf.sprintf "vars=%d shift=%d units=[%s] clauses=[%s]" n shift
+        (String.concat "," (List.map string_of_int units))
+        (String.concat "; " (List.map (fun c -> String.concat "," (List.map string_of_int c)) cs)))
+    gen
+
+let prop_block_matches_clauses =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000 ~name:"block replay matches add_clause_array" arb_block_case
+       (fun (nvars, clauses, shift, units) ->
+         let setup () =
+           let s = Sat.create () in
+           ignore (Sat.new_vars s (shift + (2 * nvars)));
+           List.iter (fun u -> Sat.add_clause_array s [| u |]) units;
+           s
+         in
+         let move k l = if l > 0 then l + k else l - k in
+         let one = setup () and blk = setup () in
+         let b = Sat.block () in
+         List.iter (fun c -> Sat.block_add b (Array.of_list c)) clauses;
+         List.iter
+           (fun k ->
+             List.iter (fun c -> Sat.add_clause_array one (Array.of_list (List.map (move k) c)))
+               clauses;
+             Sat.add_block blk ~shift:k b)
+           [ shift; shift + nvars ];
+         let observe s =
+           let r = Sat.solve s in
+           (Sat.to_dimacs s, r, (if r = Sat.Sat then Some (Sat.model s) else None), Sat.stats s)
+         in
+         let before = Sat.to_dimacs one = Sat.to_dimacs blk in
+         before && observe one = observe blk))
+
+let test_block_range () =
+  let b = Sat.block () in
+  Sat.block_add b [| 2; 1 |];
+  let first = Sat.block_size b in
+  Sat.block_add b [| 3; -1 |];
+  let s = Sat.create () in
+  ignore (Sat.new_vars s 2);
+  Sat.add_block s ~shift:0 ~len:first b;
+  Alcotest.(check string) "prefix in range replays" "p cnf 2 1\n1 2 0\n" (Sat.to_dimacs s);
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ ->
+      Alcotest.(check string) (what ^ " leaves the solver as it was") "p cnf 2 1\n1 2 0\n"
+        (Sat.to_dimacs s)
+  in
+  refused "variable beyond num_vars" (fun () -> Sat.add_block s ~shift:0 b);
+  refused "shifted beyond num_vars" (fun () -> Sat.add_block s ~shift:1 ~len:first b);
+  refused "negative shift" (fun () -> Sat.add_block s ~shift:(-1) ~len:first b);
+  refused "length past the block" (fun () -> Sat.add_block s ~shift:0 ~len:(Sat.block_size b + 1) b);
+  Alcotest.check_raises "literal 0" (Invalid_argument "Sat.block_add: literal 0") (fun () ->
+      Sat.block_add b [| 1; 0 |])
+
 let () =
   Alcotest.run "sat"
     [
@@ -479,6 +550,7 @@ let () =
           Alcotest.test_case "xor chain" `Quick test_xor_chain;
           Alcotest.test_case "dimacs export" `Quick test_dimacs;
           Alcotest.test_case "reset differential endings" `Quick test_reset_endings;
+          Alcotest.test_case "block range check" `Quick test_block_range;
         ] );
       ( "properties",
         [
@@ -486,6 +558,7 @@ let () =
           prop_model_under_assumptions;
           prop_intake_matches_list_oracle;
           prop_reset_is_create;
+          prop_block_matches_clauses;
         ]
       );
     ]

@@ -321,6 +321,21 @@ let test_campaign_acceptance_and_determinism () =
     s.Experiments.cs_rollback_checksum_ok;
   Alcotest.(check bool) "rollback rows exist" true (s.Experiments.cs_rollback_rows >= 1)
 
+(* C=rand faults are the one input the campaign draws from the machine
+   RNG; the quick golden has none, so this configuration pins them. *)
+let test_campaign_crand_golden () =
+  let config =
+    {
+      Experiments.quick_campaign with
+      Experiments.cg_kernels = [ "crc"; "fir" ];
+      cg_specs_per_unit = 2;
+      cg_constants = [ Fault.C_random ];
+    }
+  in
+  let expected = In_channel.with_open_bin "golden/guard_campaign_crand.txt" In_channel.input_all in
+  Alcotest.(check string) "byte-for-byte vs golden/guard_campaign_crand.txt" expected
+    (Experiments.render_campaign (Experiments.campaign ~config ()))
+
 let () =
   Alcotest.run "guard"
     [
@@ -345,5 +360,6 @@ let () =
         [
           Alcotest.test_case "acceptance and determinism" `Slow
             test_campaign_acceptance_and_determinism;
+          Alcotest.test_case "C=rand golden" `Quick test_campaign_crand_golden;
         ] );
     ]

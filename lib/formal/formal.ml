@@ -150,11 +150,6 @@ let sequential_depth nl =
     Some (List.fold_left (fun acc id -> max acc (visit cells.(id).output)) 0 (Netlist.dffs nl))
   with Cyclic -> None
 
-let solver_calls = ref 0
-let total_conflicts = ref 0
-
-let stats () = (!solver_calls, !total_conflicts)
-
 (* The solver every session of a domain reuses: [Sat.reset] keeps the
    arrays it has grown, so a session allocates only what it outgrows.  It
    is held weakly so that the GC can reclaim it once phase 2 is over.
@@ -426,13 +421,11 @@ let check_cover_stats ?(assumes = []) ?(watch = []) ?max_cycles ?(max_conflicts 
         let tele = Telemetry.enabled () in
         if tele then Telemetry.begin_span ~cat:"formal" "formal.bound";
         let cover_lit = lit_of_expr s (k - 1) cover in
-        incr solver_calls;
         incr calls;
         let before = Sat.stats s.solver in
         let r = Sat.solve ~assumptions:[ cover_lit ] ~max_conflicts:!budget s.solver in
         let used = Sat.stats_diff (Sat.stats s.solver) before in
         effort := Sat.stats_sum !effort used;
-        total_conflicts := !total_conflicts + used.Sat.conflicts;
         budget := !budget - used.Sat.conflicts;
         if tele then
           Telemetry.end_span

@@ -126,6 +126,3 @@ val check_cover_stats :
     charge [rs_solver.conflicts] against their budget rather than assuming
     the whole [max_conflicts] was consumed. *)
 
-val stats : unit -> int * int
-(** (solver calls, total conflicts) since the program started — cheap
-    instrumentation for the benchmark harness. *)

@@ -830,9 +830,9 @@ let run_attack_bench () =
   let s = Experiments.attack_summary report.Experiments.ap_rows in
   let latency_of mode =
     List.fold_left
-      (fun acc (r : Experiments.attack_row) ->
-        match (acc, r.Experiments.ar_latency) with
-        | None, Some (i, _) when r.Experiments.ar_mode = mode -> Some i
+      (fun acc (r : Experiments.campaign_row) ->
+        match (acc, r.Experiments.cr_latency) with
+        | None, Some (i, _) when r.Experiments.cr_mode = mode -> Some i
         | _ -> acc)
       None report.Experiments.ap_rows
   in

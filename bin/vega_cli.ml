@@ -857,8 +857,8 @@ let guard_campaign_cmd =
       | None -> Ok None
       | Some dir ->
         Result.map Option.some
-          (Resilience.Checkpoint.open_dir ~resume ~dir
-             ~digest:(Experiments.campaign_digest config) ())
+          (Resilience.Checkpoint.open_sharded ~resume ~dir
+             ~digest:(Experiments.campaign_digest config) ~shards:1 ())
     in
     match opened with
     | Error msg ->
@@ -956,8 +956,8 @@ let attack_cmd =
         | None -> Ok None
         | Some dir ->
           Result.map Option.some
-            (Resilience.Checkpoint.open_dir ~resume ~dir
-               ~digest:(Experiments.attack_campaign_digest config) ())
+            (Resilience.Checkpoint.open_sharded ~resume ~dir
+               ~digest:(Experiments.attack_campaign_digest config) ~shards:1 ())
       in
       match opened with
       | Error msg ->

@@ -394,6 +394,16 @@ type fm = FM0 | FM1 | FMR
 let fm_name = function FM0 -> "0" | FM1 -> "1" | FMR -> "R"
 let fm_constant = function FM0 -> Fault.C0 | FM1 -> Fault.C1 | FMR -> Fault.C_random
 
+(* The capture fault of one lifted pair under one failure model. *)
+let spec_of_pair (pr : Lift.pair_result) constant =
+  {
+    Fault.start_dff = pr.Lift.start_dff;
+    end_dff = pr.Lift.end_dff;
+    kind = pr.Lift.violation;
+    constant;
+    activation = Fault.Any_transition;
+  }
+
 type table6_row = {
   t6_unit : string;
   t6_fm : fm;
@@ -404,18 +414,13 @@ type table6_row = {
   stall_pct : float;
 }
 
-let case_program tc =
-  Isa.assemble
-    (Lift.case_instrs ~fail_label:"__fail" tc
-    @ [ Isa.Ecall Isa.exit_ok; Isa.Label "__fail"; Isa.Ecall Isa.exit_sdc ])
-
 (* Run the suite case by case on a machine; first detection (index, stall?). *)
 let first_detection m (suite : Lift.suite) =
   let rec go i = function
     | [] -> None
     | tc :: rest -> (
       Machine.reset m;
-      match Machine.run m (case_program tc) with
+      match Machine.run m (Integrate.Runner.case_program tc) with
       | Machine.Exited code when code = Isa.exit_ok -> go (i + 1) rest
       | Machine.Exited _ -> Some (i, false)
       | Machine.Stalled -> Some (i, true)
@@ -446,16 +451,7 @@ let table6_for unit_name (report : Vega.workflow_report) mitigated =
       let det = ref 0 and before = ref 0 and late = ref 0 and stall = ref 0 in
       List.iter
         (fun (pr : Lift.pair_result) ->
-          let spec =
-            {
-              Fault.start_dff = pr.Lift.start_dff;
-              end_dff = pr.Lift.end_dff;
-              kind = pr.Lift.violation;
-              constant = fm_constant fm;
-              activation = Fault.Any_transition;
-            }
-          in
-          let m = faulty_machine report spec in
+          let m = faulty_machine report (spec_of_pair pr (fm_constant fm)) in
           let own =
             List.mapi (fun i tc -> (i, tc)) report.Vega.suite.Lift.suite_cases
             |> List.filter_map (fun (i, (tc : Lift.test_case)) ->
@@ -522,16 +518,7 @@ let table7_for ctx unit_name (report : Vega.workflow_report) =
       let random_det = ref 0 in
       List.iter
         (fun (pr : Lift.pair_result) ->
-          let spec =
-            {
-              Fault.start_dff = pr.Lift.start_dff;
-              end_dff = pr.Lift.end_dff;
-              kind = pr.Lift.violation;
-              constant = fm_constant fm;
-              activation = Fault.Any_transition;
-            }
-          in
-          let m = faulty_machine report spec in
+          let m = faulty_machine report (spec_of_pair pr (fm_constant fm)) in
           if detect_with report.Vega.suite m then incr vega_det;
           for run = 1 to ctx.cfg.table7_runs do
             let rsuite = Testgen.matched_suite ~seed:(run * 7919) report.Vega.suite in
@@ -711,30 +698,33 @@ type campaign_row = {
   cr_kernel : string;
   cr_unit : string;
   cr_spec : string;
-  cr_mode : string;  (** "unguarded" or the policy name *)
+  cr_mode : string;  (** "unguarded" or the mode name *)
   cr_outcome : string;
   cr_detected : bool;
+  cr_detected_by : string;  (** "canary", "test", "watchdog" or "-" *)
   cr_latency : (int * int) option;  (** (instrs, cycles) from onset *)
   cr_checksum_ok : bool;
   cr_escape : bool;  (** checksum mismatch, clean exit, no detection *)
   cr_recovered : bool;
   cr_retries : int;
+  cr_polls : int;  (** canary trip-port reads the guard performed *)
   cr_overhead_pct : float;  (** guard cycles vs app cycles *)
 }
+
+let constants_key constants =
+  String.concat ","
+    (List.map (function Fault.C0 -> "0" | Fault.C1 -> "1" | Fault.C_random -> "r") constants)
 
 let campaign_digest (c : campaign_config) =
   Resilience.digest_of_strings
     [
-      "vega-campaign";
+      "vega-campaign/2";
       string_of_int c.cg_width;
       string_of_int c.cg_fmt.Fpu_format.exp_bits;
       string_of_int c.cg_fmt.Fpu_format.man_bits;
       String.concat "," c.cg_kernels;
       string_of_int c.cg_specs_per_unit;
-      String.concat ","
-        (List.map
-           (function Fault.C0 -> "0" | Fault.C1 -> "1" | Fault.C_random -> "r")
-           c.cg_constants);
+      constants_key c.cg_constants;
       Printf.sprintf "%.17g" c.cg_onset_frac;
       string_of_int c.cg_seed;
       string_of_int c.cg_guard.Guard.Monitor.cadence;
@@ -753,6 +743,7 @@ let campaign_row_to_json r =
       ("mode", Json.String r.cr_mode);
       ("outcome", Json.String r.cr_outcome);
       ("detected", Json.Bool r.cr_detected);
+      ("detected_by", Json.String r.cr_detected_by);
       ( "latency",
         match r.cr_latency with
         | None -> Json.Null
@@ -761,6 +752,7 @@ let campaign_row_to_json r =
       ("escape", Json.Bool r.cr_escape);
       ("recovered", Json.Bool r.cr_recovered);
       ("retries", Json.Int r.cr_retries);
+      ("polls", Json.Int r.cr_polls);
       ("overhead_pct", Json.Float r.cr_overhead_pct);
     ]
 
@@ -772,6 +764,7 @@ let campaign_row_of_json j =
   let* cr_mode = Result.bind (member "mode" j) to_str in
   let* cr_outcome = Result.bind (member "outcome" j) to_str in
   let* cr_detected = Result.bind (member "detected" j) to_bool in
+  let* cr_detected_by = Result.bind (member "detected_by" j) to_str in
   let* cr_latency =
     let* l = member "latency" j in
     match l with
@@ -786,6 +779,7 @@ let campaign_row_of_json j =
   let* cr_escape = Result.bind (member "escape" j) to_bool in
   let* cr_recovered = Result.bind (member "recovered" j) to_bool in
   let* cr_retries = Result.bind (member "retries" j) to_int in
+  let* cr_polls = Result.bind (member "polls" j) to_int in
   let* cr_overhead_pct = Result.bind (member "overhead_pct" j) to_float in
   Ok
     {
@@ -795,11 +789,13 @@ let campaign_row_of_json j =
       cr_mode;
       cr_outcome;
       cr_detected;
+      cr_detected_by;
       cr_latency;
       cr_checksum_ok;
       cr_escape;
       cr_recovered;
       cr_retries;
+      cr_polls;
       cr_overhead_pct;
     }
 
@@ -845,201 +841,223 @@ let campaign_machine (target : Lift.target) seed =
     Machine.create ~config ~alu:Machine.Alu_functional
       ~fpu:(Machine.Fpu_netlist target.Lift.netlist) ()
 
-(* Checkpoint accessors shared in shape by the fault-injection and
-   attack campaigns: a decode failure is treated as a cache miss (the
-   item is recomputed and overwritten), never an error. *)
-let ck_load checkpoint key decode =
-  match checkpoint with
-  | None -> None
-  | Some ck -> (
-    match Resilience.Checkpoint.load ck key with
-    | None -> None
-    | Some j -> ( match decode j with Ok v -> Some v | Error _ -> None))
+(* One value of a campaign memoised in shard 0 of its checkpoint: restored
+   when present (a decode failure is a miss, recomputed and overwritten),
+   else computed and stored. *)
+let ck_memo checkpoint key ~encode ~decode ~on_restore compute =
+  let ck = Option.map (fun sh -> Resilience.Checkpoint.shard sh 0) checkpoint in
+  match Option.map decode (Option.bind ck (fun ck -> Resilience.Checkpoint.load ck key)) with
+  | Some (Ok v) ->
+    on_restore ();
+    v
+  | _ ->
+    let v = compute () in
+    Option.iter (fun ck -> Resilience.Checkpoint.store ck key (encode v)) ck;
+    v
 
-let ck_store checkpoint key json =
-  match checkpoint with None -> () | Some ck -> Resilience.Checkpoint.store ck key json
+let memo_lift checkpoint key ~on_restore compute =
+  ck_memo checkpoint key ~on_restore compute
+    ~encode:(fun selected -> Json.List (List.map Serial.pair_result_to_json selected))
+    ~decode:(fun j -> Result.bind (Json.to_list j) (Json.map_m Serial.pair_result_of_json))
+
+let campaign_kernels = function [] -> Workload.all | names -> List.map Workload.find names
+
+(* The channel of a guarded run's first detection. *)
+let detected_by (r : Guard.Monitor.report) =
+  match r.Guard.Monitor.r_detections with
+  | [] -> "-"
+  | d :: _ ->
+    let id = d.Guard.Monitor.det_id in
+    if String.starts_with ~prefix:"__canary" id then "canary"
+    else if String.ends_with ~suffix:"(stall)" id then "watchdog"
+    else "test"
+
+(* The fault-injection driver of the guard and attack campaigns.  Per
+   kernel, the golden functional run gives the checksum, the fault onset
+   and the fuel.  Per (kernel, spec, constant) item: the unguarded run,
+   then one guarded run per mode (a row label and a monitor config), each
+   on a fresh machine with the fault injected at onset.  Items run through
+   Fleet.run on one domain with one attempt, so the checkpoint restores
+   whole items and a raising run stays fatal. *)
+let inject_faults ~label ~log ?checkpoint ~uname ~(target : Lift.target) ~seed ~kernels ~selected
+    ~constants ~onset_frac ~max_instructions ~modes () =
+  let suite = Lift.suite_of_results target.Lift.kind selected in
+  log
+    (Printf.sprintf "%s: %s — %d fault specs, %d-case guard suite" label uname
+       (List.length selected * List.length constants)
+       (List.length suite.Lift.suite_cases));
+  let width, fmt = campaign_dims target in
+  let slot =
+    match target.Lift.kind with
+    | Lift.Alu_module _ -> Guard.Injector.Alu_slot
+    | Lift.Fpu_module _ -> Guard.Injector.Fpu_slot
+  in
+  let golden (b : Workload.benchmark) =
+    let prog = Minic.assemble (Minic.compile ~width ~fmt b.Workload.program) in
+    (* functional machine, fault-free by construction *)
+    let m =
+      Machine.create
+        ~config:{ Machine.default_config with Machine.width; fmt; rng_seed = seed }
+        ~alu:Machine.Alu_functional ~fpu:Machine.Fpu_functional ()
+    in
+    Machine.reset m;
+    (match Machine.run ~max_instructions m prog with
+    | Machine.Exited code when code = Isa.exit_ok -> ()
+    | o ->
+      failwith
+        (Format.asprintf "%s: golden run of %s failed (%a)" label b.Workload.name
+           Machine.pp_outcome o));
+    let instrs = Machine.instructions_retired m in
+    let onset = max 1 (int_of_float (onset_frac *. float_of_int instrs)) in
+    log (Printf.sprintf "%s: %s x %s (onset at instr %d)" label uname b.Workload.name onset);
+    (* corrupted control flow can hang a kernel; cap the fuel at a small
+       multiple of the golden run so hangs are cheap to observe *)
+    ( b.Workload.name,
+      prog,
+      Bitvec.to_int (Machine.mem m Workload.checksum_address),
+      onset,
+      min max_instructions ((4 * instrs) + 10_000) )
+  in
+  let run_item ((kernel, prog, golden_sum, onset, fuel), spec) =
+    let fresh () =
+      Telemetry.with_span ~cat:"experiments" "campaign.machine" @@ fun () ->
+      let m = campaign_machine target seed in
+      Machine.reset m;
+      (m, Guard.Injector.create ~machine:m ~slot ~spec (Guard.Injector.permanent onset))
+    in
+    let exit_ok = function Machine.Exited code -> code = Isa.exit_ok | _ -> false in
+    (* the row of a run without detections; read once the run is over *)
+    let row mode m ~outcome ~clean_exit =
+      let checksum_ok = Bitvec.to_int (Machine.mem m Workload.checksum_address) = golden_sum in
+      {
+        cr_kernel = kernel;
+        cr_unit = uname;
+        cr_spec = Fault.describe spec;
+        cr_mode = mode;
+        cr_outcome = outcome;
+        cr_detected = false;
+        cr_detected_by = "-";
+        cr_latency = None;
+        cr_checksum_ok = checksum_ok;
+        cr_escape = clean_exit && not checksum_ok;
+        cr_recovered = false;
+        cr_retries = 0;
+        cr_polls = 0;
+        cr_overhead_pct = 0.0;
+      }
+    in
+    let unguarded () =
+      Telemetry.with_span ~cat:"experiments" "campaign.unguarded" @@ fun () ->
+      let m, inj = fresh () in
+      let o =
+        Machine.run ~max_instructions:fuel ~on_instr:(fun _ -> Guard.Injector.tick inj) m prog
+      in
+      row "unguarded" m ~outcome:(Format.asprintf "%a" Machine.pp_outcome o) ~clean_exit:(exit_ok o)
+    in
+    let guarded (mode, gcfg) =
+      let m, inj = fresh () in
+      let r =
+        Guard.Monitor.run
+          ~config:{ gcfg with Guard.Monitor.max_instructions = fuel }
+          ~injector:inj ~suite m prog
+      in
+      let outcome, clean_exit =
+        match r.Guard.Monitor.r_verdict with
+        | Guard.Monitor.App_completed o -> (Format.asprintf "%a" Machine.pp_outcome o, exit_ok o)
+        | Guard.Monitor.Guard_aborted _ -> ("aborted", false)
+      in
+      let base = row mode m ~outcome ~clean_exit in
+      let detected = Guard.Monitor.detected r in
+      {
+        base with
+        cr_detected = detected;
+        cr_detected_by = detected_by r;
+        cr_latency = r.Guard.Monitor.r_latency;
+        cr_escape = base.cr_escape && not detected;
+        cr_recovered = r.Guard.Monitor.r_recovered;
+        cr_retries = r.Guard.Monitor.r_retries;
+        cr_polls = r.Guard.Monitor.r_canary_polls;
+        cr_overhead_pct =
+          100.0
+          *. float_of_int r.Guard.Monitor.r_guard_cycles
+          /. float_of_int (max 1 r.Guard.Monitor.r_app_cycles);
+      }
+    in
+    unguarded () :: List.map guarded modes
+  in
+  let tasks =
+    List.concat_map
+      (fun b ->
+        let ((kernel, _, _, _, _) as g) = golden b in
+        List.concat_map
+          (fun pr ->
+            List.map
+              (fun constant ->
+                let spec = spec_of_pair pr constant in
+                {
+                  Fleet.tk_key = Printf.sprintf "rows~%s~%s~%s" uname kernel (Fault.describe spec);
+                  tk_payload = (g, spec);
+                })
+              constants)
+          selected)
+      kernels
+  in
+  let results, _ =
+    Fleet.run
+      ~config:{ Fleet.default_config with Fleet.fl_max_attempts = 1 }
+      ?checkpoint ~log ~seed
+      ~f:(fun ~seed:_ item -> run_item item)
+      ~encode:(fun rows -> Json.List (List.map campaign_row_to_json rows))
+      ~decode:(fun j -> Result.bind (Json.to_list j) (Json.map_m campaign_row_of_json))
+      tasks
+  in
+  List.concat_map
+    (fun (r : campaign_row list Fleet.item_result) ->
+      match (r.Fleet.fr_value, r.Fleet.fr_outcome) with
+      | Some rows, _ -> rows
+      | None, o ->
+        failwith
+          (Printf.sprintf "%s: item %s failed: %s" label r.Fleet.fr_key
+             (match o with Fleet.Quarantined e -> e | o -> Fleet.outcome_name o)))
+    (Array.to_list results)
 
 let campaign ?(config = quick_campaign) ?(log = fun _ -> ()) ?checkpoint () =
   Telemetry.with_span ~cat:"experiments" "experiments.campaign" @@ fun () ->
-  let ck_load key decode = ck_load checkpoint key decode in
-  let ck_store key json = ck_store checkpoint key json in
-  let kernels =
-    match config.cg_kernels with
-    | [] -> Workload.all
-    | names -> List.map Workload.find names
-  in
-  let policies =
-    [
-      Guard.Monitor.Abort;
-      Guard.Monitor.Failover;
-      Guard.Monitor.Rollback_retry
-        { checkpoint_every = config.cg_checkpoint_every; max_retries = config.cg_max_retries };
-    ]
-  in
-  let units =
-    [
-      ("ALU", Lift.alu_target ~width:config.cg_width (), Guard.Injector.Alu_slot);
-      ("FPU", Lift.fpu_target ~fmt:config.cg_fmt (), Guard.Injector.Fpu_slot);
-    ]
+  let kernels = campaign_kernels config.cg_kernels in
+  let modes =
+    List.map
+      (fun policy ->
+        (Guard.Monitor.policy_name policy, { config.cg_guard with Guard.Monitor.policy }))
+      [
+        Guard.Monitor.Abort;
+        Guard.Monitor.Failover;
+        Guard.Monitor.Rollback_retry
+          { checkpoint_every = config.cg_checkpoint_every; max_retries = config.cg_max_retries };
+      ]
   in
   List.concat_map
-    (fun (uname, target, slot) ->
+    (fun (uname, target) ->
       Telemetry.with_span ~cat:"experiments" "campaign.unit" @@ fun () ->
-      let lift_key = "lift~" ^ uname in
       let selected =
-        match
-          ck_load lift_key (fun j ->
-              Result.bind (Json.to_list j) (Json.map_m Serial.pair_result_of_json))
-        with
-        | Some selected ->
-          log (Printf.sprintf "campaign: %s lifting restored from checkpoint" uname);
-          selected
-        | None ->
-          log (Printf.sprintf "campaign: %s aging analysis + error lifting" uname);
-          let analysis =
-            Vega.aging_analysis
-              ~config:{ Vega.default_phase1 with Vega.clock_margin = 1.0 }
-              target ~workload:Vega.run_minver_workload
-          in
-          let selected =
-            select_campaign_pairs target analysis.Vega.violating_pairs config.cg_specs_per_unit
-          in
-          ck_store lift_key (Json.List (List.map Serial.pair_result_to_json selected));
-          selected
+        memo_lift checkpoint ("lift~" ^ uname)
+          ~on_restore:(fun () ->
+            log (Printf.sprintf "campaign: %s lifting restored from checkpoint" uname))
+          (fun () ->
+            log (Printf.sprintf "campaign: %s aging analysis + error lifting" uname);
+            let analysis =
+              Vega.aging_analysis
+                ~config:{ Vega.default_phase1 with Vega.clock_margin = 1.0 }
+                target ~workload:Vega.run_minver_workload
+            in
+            select_campaign_pairs target analysis.Vega.violating_pairs config.cg_specs_per_unit)
       in
-      let suite = Lift.suite_of_results target.Lift.kind selected in
-      log
-        (Printf.sprintf "campaign: %s — %d fault specs, %d-case guard suite" uname
-           (List.length selected * List.length config.cg_constants)
-           (List.length suite.Lift.suite_cases));
-      let width, fmt = campaign_dims target in
-      List.concat_map
-        (fun (b : Workload.benchmark) ->
-          Telemetry.with_span ~cat:"experiments" "campaign.kernel" @@ fun () ->
-          let compiled = Minic.compile ~width ~fmt b.Workload.program in
-          let prog = Minic.assemble compiled in
-          (* golden reference: functional machine, fault-free by construction *)
-          let golden_m =
-            Machine.create
-              ~config:{ Machine.default_config with Machine.width; fmt; rng_seed = config.cg_seed }
-              ~alu:Machine.Alu_functional ~fpu:Machine.Fpu_functional ()
-          in
-          Machine.reset golden_m;
-          (match Machine.run ~max_instructions:config.cg_guard.Guard.Monitor.max_instructions golden_m prog with
-          | Machine.Exited code when code = Isa.exit_ok -> ()
-          | o ->
-            failwith
-              (Format.asprintf "campaign: golden run of %s failed (%a)" b.Workload.name
-                 Machine.pp_outcome o));
-          let golden_sum = Bitvec.to_int (Machine.mem golden_m Workload.checksum_address) in
-          let golden_instrs = Machine.instructions_retired golden_m in
-          let onset = max 1 (int_of_float (config.cg_onset_frac *. float_of_int golden_instrs)) in
-          (* corrupted control flow can hang a kernel; cap the fuel at a
-             small multiple of the golden run so hangs are cheap to observe *)
-          let fuel =
-            min config.cg_guard.Guard.Monitor.max_instructions ((4 * golden_instrs) + 10_000)
-          in
-          log (Printf.sprintf "campaign: %s x %s (onset at instr %d)" uname b.Workload.name onset);
-          List.concat_map
-            (fun (pr : Lift.pair_result) ->
-              List.concat_map
-                (fun constant ->
-                  let spec =
-                    {
-                      Fault.start_dff = pr.Lift.start_dff;
-                      end_dff = pr.Lift.end_dff;
-                      kind = pr.Lift.violation;
-                      constant;
-                      activation = Fault.Any_transition;
-                    }
-                  in
-                  let fresh_run mk_row =
-                    let m, inj =
-                      Telemetry.with_span ~cat:"experiments" "campaign.machine" @@ fun () ->
-                      let m = campaign_machine target config.cg_seed in
-                      Machine.reset m;
-                      (m, Guard.Injector.create ~machine:m ~slot ~spec (Guard.Injector.permanent onset))
-                    in
-                    mk_row m inj
-                  in
-                  let row mode outcome ~clean_exit detected latency checksum_ok recovered
-                      retries overhead_pct =
-                    {
-                      cr_kernel = b.Workload.name;
-                      cr_unit = uname;
-                      cr_spec = Fault.describe spec;
-                      cr_mode = mode;
-                      cr_outcome = outcome;
-                      cr_detected = detected;
-                      cr_latency = latency;
-                      cr_checksum_ok = checksum_ok;
-                      cr_escape = clean_exit && (not detected) && not checksum_ok;
-                      cr_recovered = recovered;
-                      cr_retries = retries;
-                      cr_overhead_pct = overhead_pct;
-                    }
-                  in
-                  let unguarded () =
-                    Telemetry.with_span ~cat:"experiments" "campaign.unguarded" @@ fun () ->
-                    fresh_run (fun m inj ->
-                        let outcome =
-                          Machine.run ~max_instructions:fuel
-                            ~on_instr:(fun _ -> Guard.Injector.tick inj)
-                            m prog
-                        in
-                        let sum = Bitvec.to_int (Machine.mem m Workload.checksum_address) in
-                        let clean_exit =
-                          match outcome with
-                          | Machine.Exited code -> code = Isa.exit_ok
-                          | _ -> false
-                        in
-                        row "unguarded"
-                          (Format.asprintf "%a" Machine.pp_outcome outcome)
-                          ~clean_exit false None (sum = golden_sum) false 0 0.0)
-                  in
-                  let guarded policy =
-                    fresh_run (fun m inj ->
-                        let gcfg =
-                          { config.cg_guard with Guard.Monitor.policy; max_instructions = fuel }
-                        in
-                        let r = Guard.Monitor.run ~config:gcfg ~injector:inj ~suite m prog in
-                        let sum = Bitvec.to_int (Machine.mem m Workload.checksum_address) in
-                        let outcome, clean_exit =
-                          match r.Guard.Monitor.r_verdict with
-                          | Guard.Monitor.App_completed o ->
-                            ( Format.asprintf "%a" Machine.pp_outcome o,
-                              match o with Machine.Exited code -> code = Isa.exit_ok | _ -> false
-                            )
-                          | Guard.Monitor.Guard_aborted _ -> ("aborted", false)
-                        in
-                        row
-                          (Guard.Monitor.policy_name policy)
-                          outcome ~clean_exit
-                          (Guard.Monitor.detected r)
-                          r.Guard.Monitor.r_latency (sum = golden_sum)
-                          r.Guard.Monitor.r_recovered r.Guard.Monitor.r_retries
-                          (100.0
-                          *. float_of_int r.Guard.Monitor.r_guard_cycles
-                          /. float_of_int (max 1 r.Guard.Monitor.r_app_cycles)))
-                  in
-                  (* one checkpointable work item = this fault spec's four
-                     runs (unguarded + the three policies) on this kernel *)
-                  let item_key =
-                    Printf.sprintf "rows~%s~%s~%s" uname b.Workload.name (Fault.describe spec)
-                  in
-                  match
-                    ck_load item_key (fun j ->
-                        Result.bind (Json.to_list j) (Json.map_m campaign_row_of_json))
-                  with
-                  | Some rows -> rows
-                  | None ->
-                    let rows = unguarded () :: List.map guarded policies in
-                    ck_store item_key (Json.List (List.map campaign_row_to_json rows));
-                    rows)
-                config.cg_constants)
-            selected)
-        kernels)
-    units
+      inject_faults ~label:"campaign" ~log ?checkpoint ~uname ~target ~seed:config.cg_seed ~kernels
+        ~selected ~constants:config.cg_constants ~onset_frac:config.cg_onset_frac
+        ~max_instructions:config.cg_guard.Guard.Monitor.max_instructions ~modes ())
+    [
+      ("ALU", Lift.alu_target ~width:config.cg_width ());
+      ("FPU", Lift.fpu_target ~fmt:config.cg_fmt ());
+    ]
 
 type campaign_summary = {
   cs_rows : int;
@@ -1181,17 +1199,14 @@ let attack_campaign_digest ?netlist (config : attack_campaign_config) =
   let a = config.ak_attack in
   Resilience.digest_of_strings
     ([
-       "vega-attack-campaign";
+       "vega-attack-campaign/2";
        (match netlist with
        | None -> "stock"
        | Some nl -> Resilience.netlist_digest nl);
        string_of_int config.ak_width;
        String.concat "," config.ak_kernels;
        string_of_int config.ak_specs;
-       String.concat ","
-         (List.map
-            (function Fault.C0 -> "0" | Fault.C1 -> "1" | Fault.C_random -> "r")
-            config.ak_constants);
+       constants_key config.ak_constants;
        Printf.sprintf "%.17g" config.ak_onset_frac;
        string_of_int config.ak_seed;
        (* the search *)
@@ -1212,76 +1227,6 @@ let attack_campaign_digest ?netlist (config : attack_campaign_config) =
        string_of_int config.ak_guard.Guard.Monitor.max_instructions;
      ]
     @ attack_campaign_cells ?netlist config)
-
-type attack_row = {
-  ar_kernel : string;
-  ar_spec : string;
-  ar_mode : string;  (** "unguarded", "sw-only" or "sw+canary" *)
-  ar_outcome : string;
-  ar_detected : bool;
-  ar_detected_by : string;  (** "canary", "test", "watchdog" or "-" *)
-  ar_latency : (int * int) option;  (** (instrs, cycles) from onset *)
-  ar_checksum_ok : bool;
-  ar_escape : bool;
-  ar_polls : int;  (** canary trip-port reads the guard performed *)
-  ar_overhead_pct : float;
-}
-
-let attack_row_to_json r =
-  Json.Obj
-    [
-      ("kernel", Json.String r.ar_kernel);
-      ("spec", Json.String r.ar_spec);
-      ("mode", Json.String r.ar_mode);
-      ("outcome", Json.String r.ar_outcome);
-      ("detected", Json.Bool r.ar_detected);
-      ("detected_by", Json.String r.ar_detected_by);
-      ( "latency",
-        match r.ar_latency with
-        | None -> Json.Null
-        | Some (i, c) -> Json.List [ Json.Int i; Json.Int c ] );
-      ("checksum_ok", Json.Bool r.ar_checksum_ok);
-      ("escape", Json.Bool r.ar_escape);
-      ("polls", Json.Int r.ar_polls);
-      ("overhead_pct", Json.Float r.ar_overhead_pct);
-    ]
-
-let attack_row_of_json j =
-  let open Json in
-  let* ar_kernel = Result.bind (member "kernel" j) to_str in
-  let* ar_spec = Result.bind (member "spec" j) to_str in
-  let* ar_mode = Result.bind (member "mode" j) to_str in
-  let* ar_outcome = Result.bind (member "outcome" j) to_str in
-  let* ar_detected = Result.bind (member "detected" j) to_bool in
-  let* ar_detected_by = Result.bind (member "detected_by" j) to_str in
-  let* ar_latency =
-    let* l = member "latency" j in
-    match l with
-    | Null -> Ok None
-    | List [ li; lc ] ->
-      let* i = to_int li in
-      let* c = to_int lc in
-      Ok (Some (i, c))
-    | _ -> Error "bad latency"
-  in
-  let* ar_checksum_ok = Result.bind (member "checksum_ok" j) to_bool in
-  let* ar_escape = Result.bind (member "escape" j) to_bool in
-  let* ar_polls = Result.bind (member "polls" j) to_int in
-  let* ar_overhead_pct = Result.bind (member "overhead_pct" j) to_float in
-  Ok
-    {
-      ar_kernel;
-      ar_spec;
-      ar_mode;
-      ar_outcome;
-      ar_detected;
-      ar_detected_by;
-      ar_latency;
-      ar_checksum_ok;
-      ar_escape;
-      ar_polls;
-      ar_overhead_pct;
-    }
 
 (* The attack-aged corner: everything the search and the TTV bisections
    produced, plus the winning stream itself so a resumed campaign can
@@ -1415,14 +1360,12 @@ type attack_report = {
   ap_ttv_attack : float option;
   ap_acceleration : float option;
   ap_canaries : Canary.canary list;
-  ap_rows : attack_row list;
+  ap_rows : campaign_row list;
 }
 
 let attack_campaign ?(config = quick_attack_campaign) ?netlist ?(log = fun _ -> ()) ?checkpoint
     () =
   Telemetry.with_span ~cat:"experiments" "experiments.attack_campaign" @@ fun () ->
-  let ck_load key decode = ck_load checkpoint key decode in
-  let ck_store key json = ck_store checkpoint key json in
   let target =
     let t = Lift.alu_target ~width:config.ak_width () in
     match netlist with Some nl -> { t with Lift.netlist = nl } | None -> t
@@ -1443,38 +1386,35 @@ let attack_campaign ?(config = quick_attack_campaign) ?netlist ?(log = fun _ -> 
   in
   let aged sp years = Sta.aged_timing ~sp_of_net:sp ~years aglib in
   let corner =
-    match ck_load "corner" attack_corner_of_json with
-    | Some c ->
-      log "attack-campaign: attack corner restored from checkpoint";
-      c
-    | None ->
-      log
-        (Printf.sprintf "attack-campaign: stress search over %d target cell(s)"
-           (List.length cells));
-      let r = Attack.search ~config:config.ak_attack target ~cells in
-      let fresh_crit = worst_arrival (Sta.fresh_timing Cell.Library.c28) in
-      let att_max = worst_arrival (aged r.Attack.atk_sp_of_net config.ak_years_max) in
-      (* A guard period halfway between the fresh critical path and the
-         fully-attacked arrival: fresh timing closes with margin, and the
-         attacked corner is guaranteed to violate within the horizon. *)
-      let clock_period_ps = 0.5 *. (fresh_crit +. att_max) in
-      let ttv sp =
-        Attack.time_to_violation ~years_max:config.ak_years_max
-          ~precision:config.ak_ttv_precision
-          ~timing_of_years:(fun y -> aged sp y)
-          ~clock_period_ps nl
-      in
-      let _, nom_sp =
-        replay "nominal" (Vega.recorded_unit_ops target ~workload:Vega.run_minver_workload)
-      in
-      let ttv_nominal = ttv nom_sp in
-      let ttv_attack = ttv r.Attack.atk_sp_of_net in
-      let acceleration =
-        match (ttv_nominal, ttv_attack) with
-        | Some n, Some a when a > 0.0 -> Some (n /. a)
-        | _ -> None
-      in
-      let corner =
+    ck_memo checkpoint "corner" ~encode:attack_corner_to_json ~decode:attack_corner_of_json
+      ~on_restore:(fun () -> log "attack-campaign: attack corner restored from checkpoint")
+      (fun () ->
+        log
+          (Printf.sprintf "attack-campaign: stress search over %d target cell(s)"
+             (List.length cells));
+        let r = Attack.search ~config:config.ak_attack target ~cells in
+        let fresh_crit = worst_arrival (Sta.fresh_timing Cell.Library.c28) in
+        let att_max = worst_arrival (aged r.Attack.atk_sp_of_net config.ak_years_max) in
+        (* A guard period halfway between the fresh critical path and the
+           fully-attacked arrival: fresh timing closes with margin, and the
+           attacked corner is guaranteed to violate within the horizon. *)
+        let clock_period_ps = 0.5 *. (fresh_crit +. att_max) in
+        let ttv sp =
+          Attack.time_to_violation ~years_max:config.ak_years_max
+            ~precision:config.ak_ttv_precision
+            ~timing_of_years:(fun y -> aged sp y)
+            ~clock_period_ps nl
+        in
+        let _, nom_sp =
+          replay "nominal" (Vega.recorded_unit_ops target ~workload:Vega.run_minver_workload)
+        in
+        let ttv_nominal = ttv nom_sp in
+        let ttv_attack = ttv r.Attack.atk_sp_of_net in
+        let acceleration =
+          match (ttv_nominal, ttv_attack) with
+          | Some n, Some a when a > 0.0 -> Some (n /. a)
+          | _ -> None
+        in
         {
           ac_ops = r.Attack.atk_ops;
           ac_cells = r.Attack.atk_cells;
@@ -1488,10 +1428,7 @@ let attack_campaign ?(config = quick_attack_campaign) ?netlist ?(log = fun _ -> 
           ac_ttv_nominal = ttv_nominal;
           ac_ttv_attack = ttv_attack;
           ac_acceleration = acceleration;
-        }
-      in
-      ck_store "corner" (attack_corner_to_json corner);
-      corner
+        })
   in
   (* Re-derive the attacked SP profile from the winning stream — the same
      replay on both the fresh and the resumed path. *)
@@ -1513,186 +1450,23 @@ let attack_campaign ?(config = quick_attack_campaign) ?netlist ?(log = fun _ -> 
   (* Fault specs for the guard phase come from the attack-aged corner's
      violating pairs — the faults this wearout actually produces. *)
   let selected =
-    match
-      ck_load "lift" (fun j ->
-          Result.bind (Json.to_list j) (Json.map_m Serial.pair_result_of_json))
-    with
-    | Some selected ->
-      log "attack-campaign: error lifting restored from checkpoint";
-      selected
-    | None ->
-      let pairs =
-        Sta.violating_pairs ~timing:att_timing ~clock_period_ps:corner.ac_clock_period_ps nl
-      in
-      let selected = select_campaign_pairs target pairs config.ak_specs in
-      ck_store "lift" (Json.List (List.map Serial.pair_result_to_json selected));
-      selected
+    memo_lift checkpoint "lift"
+      ~on_restore:(fun () -> log "attack-campaign: error lifting restored from checkpoint")
+      (fun () ->
+        let pairs =
+          Sta.violating_pairs ~timing:att_timing ~clock_period_ps:corner.ac_clock_period_ps nl
+        in
+        select_campaign_pairs target pairs config.ak_specs)
   in
-  let suite = Lift.suite_of_results target.Lift.kind selected in
-  log
-    (Printf.sprintf "attack-campaign: %d fault spec(s), %d-case guard suite"
-       (List.length selected * List.length config.ak_constants)
-       (List.length suite.Lift.suite_cases));
-  let width, fmt = campaign_dims target in
-  let machine () =
-    let mconfig =
-      { Machine.default_config with Machine.width; fmt; rng_seed = config.ak_seed }
-    in
-    Machine.create ~config:mconfig ~alu:(Machine.Alu_netlist monitored)
-      ~fpu:Machine.Fpu_functional ()
-  in
-  let kernels =
-    match config.ak_kernels with
-    | [] -> Workload.all
-    | names -> List.map Workload.find names
-  in
-  let detected_by (r : Guard.Monitor.report) =
-    match r.Guard.Monitor.r_detections with
-    | [] -> "-"
-    | d :: _ ->
-      let id = d.Guard.Monitor.det_id in
-      let has_prefix p = String.length id >= String.length p && String.sub id 0 (String.length p) = p in
-      let has_suffix s =
-        String.length id >= String.length s
-        && String.sub id (String.length id - String.length s) (String.length s) = s
-      in
-      if has_prefix "__canary" then "canary" else if has_suffix "(stall)" then "watchdog" else "test"
-  in
+  let guard canary_poll = { config.ak_guard with Guard.Monitor.canary_poll } in
   let rows =
-    List.concat_map
-      (fun (b : Workload.benchmark) ->
-        Telemetry.with_span ~cat:"experiments" "attack_campaign.kernel" @@ fun () ->
-        let compiled = Minic.compile ~width ~fmt b.Workload.program in
-        let prog = Minic.assemble compiled in
-        let golden_m =
-          Machine.create
-            ~config:{ Machine.default_config with Machine.width; fmt; rng_seed = config.ak_seed }
-            ~alu:Machine.Alu_functional ~fpu:Machine.Fpu_functional ()
-        in
-        Machine.reset golden_m;
-        (match
-           Machine.run ~max_instructions:config.ak_guard.Guard.Monitor.max_instructions golden_m
-             prog
-         with
-        | Machine.Exited code when code = Isa.exit_ok -> ()
-        | o ->
-          failwith
-            (Format.asprintf "attack-campaign: golden run of %s failed (%a)" b.Workload.name
-               Machine.pp_outcome o));
-        let golden_sum = Bitvec.to_int (Machine.mem golden_m Workload.checksum_address) in
-        let golden_instrs = Machine.instructions_retired golden_m in
-        let onset = max 1 (int_of_float (config.ak_onset_frac *. float_of_int golden_instrs)) in
-        let fuel =
-          min config.ak_guard.Guard.Monitor.max_instructions ((4 * golden_instrs) + 10_000)
-        in
-        log
-          (Printf.sprintf "attack-campaign: kernel %s (onset at instr %d)" b.Workload.name onset);
-        List.concat_map
-          (fun (pr : Lift.pair_result) ->
-            List.concat_map
-              (fun constant ->
-                let spec =
-                  {
-                    Fault.start_dff = pr.Lift.start_dff;
-                    end_dff = pr.Lift.end_dff;
-                    kind = pr.Lift.violation;
-                    constant;
-                    activation = Fault.Any_transition;
-                  }
-                in
-                let fresh_run mk_row =
-                  let m = machine () in
-                  Machine.reset m;
-                  let inj =
-                    Guard.Injector.create ~machine:m ~slot:Guard.Injector.Alu_slot ~spec
-                      (Guard.Injector.permanent onset)
-                  in
-                  mk_row m inj
-                in
-                let row mode outcome ~clean_exit detected detected_by latency checksum_ok polls
-                    overhead_pct =
-                  {
-                    ar_kernel = b.Workload.name;
-                    ar_spec = Fault.describe spec;
-                    ar_mode = mode;
-                    ar_outcome = outcome;
-                    ar_detected = detected;
-                    ar_detected_by = detected_by;
-                    ar_latency = latency;
-                    ar_checksum_ok = checksum_ok;
-                    ar_escape = clean_exit && (not detected) && not checksum_ok;
-                    ar_polls = polls;
-                    ar_overhead_pct = overhead_pct;
-                  }
-                in
-                let unguarded () =
-                  fresh_run (fun m inj ->
-                      let outcome =
-                        Machine.run ~max_instructions:fuel
-                          ~on_instr:(fun _ -> Guard.Injector.tick inj)
-                          m prog
-                      in
-                      let sum = Bitvec.to_int (Machine.mem m Workload.checksum_address) in
-                      let clean_exit =
-                        match outcome with
-                        | Machine.Exited code -> code = Isa.exit_ok
-                        | _ -> false
-                      in
-                      row "unguarded"
-                        (Format.asprintf "%a" Machine.pp_outcome outcome)
-                        ~clean_exit false "-" None (sum = golden_sum) 0 0.0)
-                in
-                let guarded mode canary_poll =
-                  fresh_run (fun m inj ->
-                      let gcfg =
-                        {
-                          config.ak_guard with
-                          Guard.Monitor.max_instructions = fuel;
-                          canary_poll;
-                        }
-                      in
-                      let r = Guard.Monitor.run ~config:gcfg ~injector:inj ~suite m prog in
-                      let sum = Bitvec.to_int (Machine.mem m Workload.checksum_address) in
-                      let outcome, clean_exit =
-                        match r.Guard.Monitor.r_verdict with
-                        | Guard.Monitor.App_completed o ->
-                          ( Format.asprintf "%a" Machine.pp_outcome o,
-                            match o with
-                            | Machine.Exited code -> code = Isa.exit_ok
-                            | _ -> false )
-                        | Guard.Monitor.Guard_aborted _ -> ("aborted", false)
-                      in
-                      row mode outcome ~clean_exit
-                        (Guard.Monitor.detected r)
-                        (detected_by r) r.Guard.Monitor.r_latency (sum = golden_sum)
-                        r.Guard.Monitor.r_canary_polls
-                        (100.0
-                        *. float_of_int r.Guard.Monitor.r_guard_cycles
-                        /. float_of_int (max 1 r.Guard.Monitor.r_app_cycles)))
-                in
-                (* one checkpointable work item = this fault spec's three
-                   runs (unguarded, software-only, software+canary) *)
-                let item_key =
-                  Printf.sprintf "rows~%s~%s" b.Workload.name (Fault.describe spec)
-                in
-                match
-                  ck_load item_key (fun j ->
-                      Result.bind (Json.to_list j) (Json.map_m attack_row_of_json))
-                with
-                | Some rows -> rows
-                | None ->
-                  let rows =
-                    [
-                      unguarded ();
-                      guarded "sw-only" None;
-                      guarded "sw+canary" (Some config.ak_canary_poll);
-                    ]
-                  in
-                  ck_store item_key (Json.List (List.map attack_row_to_json rows));
-                  rows)
-              config.ak_constants)
-          selected)
-      kernels
+    inject_faults ~label:"attack-campaign" ~log ?checkpoint ~uname:"ALU"
+      ~target:{ target with Lift.netlist = monitored }
+      ~seed:config.ak_seed ~kernels:(campaign_kernels config.ak_kernels) ~selected
+      ~constants:config.ak_constants ~onset_frac:config.ak_onset_frac
+      ~max_instructions:config.ak_guard.Guard.Monitor.max_instructions
+      ~modes:[ ("sw-only", guard None); ("sw+canary", guard (Some config.ak_canary_poll)) ]
+      ()
   in
   {
     ap_cells = corner.ac_cells;
@@ -1726,22 +1500,22 @@ type attack_summary = {
 
 let attack_summary rows =
   let count p = List.length (List.filter p rows) in
-  let mode m r = r.ar_mode = m in
+  let mode m r = r.cr_mode = m in
   let pairs = Hashtbl.create 16 in
   List.iter
     (fun r ->
-      let key = (r.ar_kernel, r.ar_spec) in
+      let key = (r.cr_kernel, r.cr_spec) in
       if not (Hashtbl.mem pairs key) then Hashtbl.replace pairs key ())
     rows;
   let latency_pairs, canary_wins =
     Hashtbl.fold
       (fun (kernel, spec) () (lp, cw) ->
         let find m =
-          List.find_opt (fun r -> r.ar_kernel = kernel && r.ar_spec = spec && mode m r) rows
+          List.find_opt (fun r -> r.cr_kernel = kernel && r.cr_spec = spec && mode m r) rows
         in
         match (find "sw-only", find "sw+canary") with
         | Some sw, Some cn -> (
-          match (sw.ar_latency, cn.ar_latency) with
+          match (sw.cr_latency, cn.cr_latency) with
           | Some (si, _), Some (ci, _) -> (lp + 1, if ci <= si then cw + 1 else cw)
           | _ -> (lp, cw))
         | _ -> (lp, cw))
@@ -1749,14 +1523,14 @@ let attack_summary rows =
   in
   {
     as_unguarded_rows = count (mode "unguarded");
-    as_unguarded_escapes = count (fun r -> mode "unguarded" r && r.ar_escape);
+    as_unguarded_escapes = count (fun r -> mode "unguarded" r && r.cr_escape);
     as_sw_rows = count (mode "sw-only");
-    as_sw_detected = count (fun r -> mode "sw-only" r && r.ar_detected);
-    as_sw_escapes = count (fun r -> mode "sw-only" r && r.ar_escape);
+    as_sw_detected = count (fun r -> mode "sw-only" r && r.cr_detected);
+    as_sw_escapes = count (fun r -> mode "sw-only" r && r.cr_escape);
     as_canary_rows = count (mode "sw+canary");
-    as_canary_detected = count (fun r -> mode "sw+canary" r && r.ar_detected);
-    as_canary_escapes = count (fun r -> mode "sw+canary" r && r.ar_escape);
-    as_canary_first = count (fun r -> mode "sw+canary" r && r.ar_detected_by = "canary");
+    as_canary_detected = count (fun r -> mode "sw+canary" r && r.cr_detected);
+    as_canary_escapes = count (fun r -> mode "sw+canary" r && r.cr_escape);
+    as_canary_first = count (fun r -> mode "sw+canary" r && r.cr_detected_by = "canary");
     as_latency_pairs = latency_pairs;
     as_canary_wins = canary_wins;
   }
@@ -1793,14 +1567,14 @@ let render_attack_campaign ?(years_max = default_attack_campaign.ak_years_max) r
     (fun r ->
       Buffer.add_string buf
         (Printf.sprintf "  %-9s  %-34s  %-9s  %-13s  %-3s  %-8s  %-11s  %-5s  %5d  %5.1f\n"
-           r.ar_kernel r.ar_spec r.ar_mode r.ar_outcome
-           (if r.ar_detected then "yes" else "no")
-           r.ar_detected_by
-           (match r.ar_latency with
+           r.cr_kernel r.cr_spec r.cr_mode r.cr_outcome
+           (if r.cr_detected then "yes" else "no")
+           r.cr_detected_by
+           (match r.cr_latency with
            | Some (i, _) -> Printf.sprintf "%d instr" i
            | None -> "-")
-           (if r.ar_checksum_ok then "ok" else "BAD")
-           r.ar_polls r.ar_overhead_pct))
+           (if r.cr_checksum_ok then "ok" else "BAD")
+           r.cr_polls r.cr_overhead_pct))
     report.ap_rows;
   let s = attack_summary report.ap_rows in
   Buffer.add_string buf
@@ -1988,10 +1762,7 @@ let fleet_digest ?netlist (c : fleet_config) =
       string_of_int c.fd_seed;
       Printf.sprintf "%.17g" c.fd_margin;
       string_of_int c.fd_specs;
-      String.concat ","
-        (List.map
-           (function Fault.C0 -> "0" | Fault.C1 -> "1" | Fault.C_random -> "r")
-           c.fd_constants);
+      constants_key c.fd_constants;
       Printf.sprintf "%.17g" c.fd_years_max;
       string_of_int c.fd_year_steps;
       Printf.sprintf "%.17g" c.fd_temp_min_k;
@@ -2170,20 +1941,12 @@ let fleet_campaign ?(config = quick_fleet) ?netlist ?(domains = 1) ?(log = fun _
   in
   (* the deployed suite is shared by the whole fleet; checkpoint it in
      shard 0 so a resumed run skips the lift *)
-  let sck = Option.map (fun sh -> Resilience.Checkpoint.shard sh 0) checkpoint in
   let selected =
-    match
-      ck_load sck "fleet~lift" (fun j ->
-          Result.bind (Json.to_list j) (Json.map_m Serial.pair_result_of_json))
-    with
-    | Some selected ->
-      log "fleet: deployed suite restored from checkpoint";
-      selected
-    | None ->
-      log "fleet: error lifting for the deployed suite (worst fleet corner)";
-      let selected = select_campaign_pairs target worst_pairs config.fd_specs in
-      ck_store sck "fleet~lift" (Json.List (List.map Serial.pair_result_to_json selected));
-      selected
+    memo_lift checkpoint "fleet~lift"
+      ~on_restore:(fun () -> log "fleet: deployed suite restored from checkpoint")
+      (fun () ->
+        log "fleet: error lifting for the deployed suite (worst fleet corner)";
+        select_campaign_pairs target worst_pairs config.fd_specs)
   in
   let suite = Lift.suite_of_results target.Lift.kind selected in
   let n_cases = List.length suite.Lift.suite_cases in

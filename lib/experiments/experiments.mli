@@ -168,7 +168,23 @@ val fig9_mean_overheads : fig9_row list -> float * float
     injected {e mid-run} ({!Guard.Injector}) into kernels executing under
     {!Guard.Monitor}, once per recovery policy plus an unguarded baseline,
     tabulating detection latency, SDC escape rate, recovery success, and
-    guard overhead.  Fully deterministic for a fixed seed. *)
+    guard overhead.  Fully deterministic for a fixed seed.
+
+    The guard and the attack campaign share one fault-injection driver.
+    Per kernel it makes the golden functional run (checksum, fault onset,
+    fuel); per (kernel, spec, constant) item it runs the kernel unguarded
+    and then once per {e mode} — a row label and a {!Guard.Monitor.config}
+    — each on a fresh machine with the fault injected at onset.  The
+    guard campaign's modes are its three recovery policies; the attack
+    campaign's are ["sw-only"] and ["sw+canary"], which differ only in
+    [canary_poll].  Items run through {!Fleet.run} on one domain with one
+    attempt, so an item that raises makes the campaign raise [Failure]
+    naming the item.
+
+    Both campaigns checkpoint into a {!Resilience.Checkpoint.sharded}
+    store (one shard suffices): one entry per item, plus the single values
+    each campaign computes once (the lifting selections, the attack
+    corner) in shard 0. *)
 
 type campaign_config = {
   cg_width : int;
@@ -199,9 +215,14 @@ type campaign_row = {
   cr_kernel : string;
   cr_unit : string;
   cr_spec : string;
-  cr_mode : string;  (** "unguarded", "abort", "failover", or "rollback" *)
+  cr_mode : string;
+      (** "unguarded" or the mode: "abort", "failover", "rollback" (guard
+          campaign), "sw-only", "sw+canary" (attack campaign) *)
   cr_outcome : string;
   cr_detected : bool;
+  cr_detected_by : string;
+      (** channel of the first detection: "canary", "test", "watchdog" or
+          "-" *)
   cr_latency : (int * int) option;
       (** (instructions, cycles) from fault onset to first detection *)
   cr_checksum_ok : bool;  (** final checksum matches the golden run *)
@@ -209,8 +230,11 @@ type campaign_row = {
       (** silent corruption: clean exit, checksum mismatch, no detection *)
   cr_recovered : bool;
   cr_retries : int;
+  cr_polls : int;  (** canary trip-port reads the guard performed *)
   cr_overhead_pct : float;  (** guard cycles as % of app cycles *)
 }
+(** One run of the fault-injection driver, in either campaign.  Each
+    renderer prints only its own campaign's columns. *)
 
 val campaign_digest : campaign_config -> string
 (** Staleness key for campaign checkpoints: any knob that changes the rows
@@ -222,14 +246,15 @@ val campaign_row_of_json : Json.t -> (campaign_row, string) result
 val campaign :
   ?config:campaign_config ->
   ?log:(string -> unit) ->
-  ?checkpoint:Resilience.Checkpoint.t ->
+  ?checkpoint:Resilience.Checkpoint.sharded ->
   unit ->
   campaign_row list
 (** [checkpoint] (opened against {!campaign_digest}) makes the sweep
-    resumable at two granularities: each unit's error-lifting selection,
-    and each fault spec's four runs (unguarded + three policies) per
-    kernel.  Completed items are restored instead of re-executed; the row
-    list is identical either way. *)
+    resumable at two granularities: each unit's error-lifting selection
+    (["lift~ALU"], ["lift~FPU"]), and each fault spec's four runs
+    (unguarded + three policies) per kernel.  Completed items are
+    restored instead of re-executed; the row list is identical either
+    way. *)
 
 type campaign_summary = {
   cs_rows : int;
@@ -292,24 +317,6 @@ val attack_campaign_digest : ?netlist:Netlist.t -> attack_campaign_config -> str
     {!Repair}-hardened ALU) when given — any change invalidates a
     resume. *)
 
-type attack_row = {
-  ar_kernel : string;
-  ar_spec : string;
-  ar_mode : string;  (** "unguarded", "sw-only" or "sw+canary" *)
-  ar_outcome : string;
-  ar_detected : bool;
-  ar_detected_by : string;  (** "canary", "test", "watchdog" or "-" *)
-  ar_latency : (int * int) option;
-      (** (instructions, cycles) from fault onset to first detection *)
-  ar_checksum_ok : bool;
-  ar_escape : bool;
-  ar_polls : int;  (** canary trip-port reads the guard performed *)
-  ar_overhead_pct : float;
-}
-
-val attack_row_to_json : attack_row -> Json.t
-val attack_row_of_json : Json.t -> (attack_row, string) result
-
 type attack_report = {
   ap_cells : Attack.cell_stress list;  (** per-victim SP shift *)
   ap_baseline_obj : float;  (** stress-duty objective, random baseline *)
@@ -326,14 +333,14 @@ type attack_report = {
   ap_ttv_attack : float option;
   ap_acceleration : float option;  (** ttv nominal / ttv attack *)
   ap_canaries : Canary.canary list;
-  ap_rows : attack_row list;
+  ap_rows : campaign_row list;  (** [cr_unit] is always ["ALU"] *)
 }
 
 val attack_campaign :
   ?config:attack_campaign_config ->
   ?netlist:Netlist.t ->
   ?log:(string -> unit) ->
-  ?checkpoint:Resilience.Checkpoint.t ->
+  ?checkpoint:Resilience.Checkpoint.sharded ->
   unit ->
   attack_report
 (** Run the campaign: search, TTV bisection under the attacked and the
@@ -343,8 +350,8 @@ val attack_campaign :
     guard comparison (unguarded / software-tests-only / software+canary)
     per kernel and fault spec.  [checkpoint] (opened against
     {!attack_campaign_digest}) makes it resumable at three granularities:
-    the attack corner (search + bisections), the lifting selection, and
-    each fault spec's three runs per kernel.
+    the attack corner (["corner"]: search + bisections), the lifting
+    selection (["lift"]), and each fault spec's three runs per kernel.
     @raise Failure if a golden kernel run or the canary proof fails. *)
 
 type attack_summary = {
@@ -364,7 +371,7 @@ type attack_summary = {
       (** pairs where the canary latency <= the software-test latency *)
 }
 
-val attack_summary : attack_row list -> attack_summary
+val attack_summary : campaign_row list -> attack_summary
 
 val render_attack_campaign : ?years_max:float -> attack_report -> string
 (** Deterministic table (the CI-diffed artifact); [years_max] (default

@@ -159,7 +159,7 @@ let test_attack_campaign_resume () =
     (fun () ->
       let digest = Experiments.attack_campaign_digest quick_attack in
       let open_ck resume =
-        match Resilience.Checkpoint.open_dir ~resume ~dir ~digest () with
+        match Resilience.Checkpoint.open_sharded ~resume ~dir ~digest ~shards:1 () with
         | Ok ck -> ck
         | Error msg -> Alcotest.failf "checkpoint open failed: %s" msg
       in
@@ -173,7 +173,7 @@ let test_attack_campaign_resume () =
       let stale =
         Experiments.attack_campaign_digest { quick_attack with Experiments.ak_canary_poll = 10 }
       in
-      match Resilience.Checkpoint.open_dir ~resume:true ~dir ~digest:stale () with
+      match Resilience.Checkpoint.open_sharded ~resume:true ~dir ~digest:stale ~shards:1 () with
       | Ok _ -> Alcotest.fail "stale attack-campaign checkpoint accepted"
       | Error _ -> ())
 

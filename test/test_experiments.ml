@@ -177,6 +177,37 @@ let test_attack_campaign_resume () =
       | Ok _ -> Alcotest.fail "stale attack-campaign checkpoint accepted"
       | Error _ -> ())
 
+(* Both campaigns checkpoint their items as [campaign_row] JSON: one row of
+   every mode must decode back to itself, directly and through the text a
+   checkpoint file holds. *)
+let test_campaign_row_codec () =
+  let guard_rows = Experiments.campaign ~config:Experiments.quick_campaign () in
+  let attack_rows = (Lazy.force attack_report).Experiments.ap_rows in
+  let first_per_mode =
+    List.fold_left
+      (fun acc (r : Experiments.campaign_row) ->
+        if List.mem_assoc r.Experiments.cr_mode acc then acc else (r.Experiments.cr_mode, r) :: acc)
+      [] (guard_rows @ attack_rows)
+    |> List.rev
+  in
+  Alcotest.(check (list string))
+    "one row per mode of both campaigns"
+    [ "unguarded"; "abort"; "failover"; "rollback"; "sw-only"; "sw+canary" ]
+    (List.map fst first_per_mode);
+  let rows = List.map snd first_per_mode in
+  Alcotest.(check bool) "an unguarded row without latency" true
+    (List.exists (fun r -> r.Experiments.cr_latency = None) rows);
+  Alcotest.(check bool) "a row with canary polls" true
+    (List.exists (fun r -> r.Experiments.cr_polls > 0) rows);
+  List.iter
+    (fun (r : Experiments.campaign_row) ->
+      let j = Experiments.campaign_row_to_json r in
+      Alcotest.(check bool) (r.Experiments.cr_mode ^ " row round-trips") true
+        (Experiments.campaign_row_of_json j = Ok r);
+      Alcotest.(check bool) (r.Experiments.cr_mode ^ " row round-trips as text") true
+        (Result.bind (Json.of_string (Json.to_string j)) Experiments.campaign_row_of_json = Ok r))
+    rows
+
 let () =
   Alcotest.run "experiments"
     [
@@ -196,5 +227,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_attack_campaign_deterministic;
           Alcotest.test_case "digest commits to cells, seed, corner" `Quick test_attack_digest;
           Alcotest.test_case "checkpoint resume and staleness" `Quick test_attack_campaign_resume;
+          Alcotest.test_case "row codec round-trips every mode" `Quick test_campaign_row_codec;
         ] );
     ]

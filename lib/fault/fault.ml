@@ -109,7 +109,7 @@ type instrumented = {
   watch : (string * Netlist.net) list;
 }
 
-let instrument_shadow nl spec =
+let instrument nl spec =
   let y = find_dff nl spec.end_dff in
   let cone = Netlist.fanout_cone nl y.output in
   let cone = if List.mem y.id cone then cone else y.id :: cone in
@@ -183,3 +183,8 @@ let instrument_shadow nl spec =
       shadow_of
   in
   { netlist; shadow_of; cover; watch }
+
+let instrument_shadow nl spec =
+  if Telemetry.enabled () then
+    Telemetry.with_span ~cat:"fault" "fault.instrument" (fun () -> instrument nl spec)
+  else instrument nl spec

@@ -521,39 +521,50 @@ let add_clause_array t a =
 
 let add_clause t lits = add_clause_array t (Array.of_list lits)
 
-(* A block is a [Vec.t] of normalised clauses, each a length header then
-   its literals. *)
-type block = Vec.t
+(* A block is a [Vec.t] of normalised clauses, each its slot [top] (the
+   largest variable of the clauses before it), a length header, then its
+   literals; [top] is the largest variable of all of them.  A replay of the
+   clauses before size [len] then checks its range once: the slot at
+   [len], or [top] at the end. *)
+type block = { clauses : Vec.t; mutable top : int }
 
-let block () = Vec.create ()
-let block_size = Vec.size
+let block () = { clauses = Vec.create (); top = 0 }
+let block_size b = Vec.size b.clauses
 
 let block_add b a =
   if Array.exists (( = ) 0) a then invalid_arg "Sat.block_add: literal 0";
   let m = normalize a in
   if m >= 0 then begin
-    Vec.push b m;
+    let v = b.clauses in
+    Vec.push v b.top;
+    Vec.push v m;
     for i = 0 to m - 1 do
-      Vec.push b a.(i)
+      Vec.push v a.(i);
+      b.top <- max b.top (abs a.(i))
     done
   end
 
 let add_block t ~shift ?len (b : block) =
-  let len = Option.value len ~default:(Vec.size b) in
-  if shift < 0 || len < 0 || len > Vec.size b then invalid_arg "Sat.add_block: bad range";
-  let d = b.Vec.data in
-  let pos = ref 0 in
-  while !pos < len do
-    check_range t d (!pos + 1) d.(!pos) shift;
-    pos := !pos + 1 + d.(!pos)
-  done;
+  let size = Vec.size b.clauses in
+  let len = Option.value len ~default:size in
+  if shift < 0 || len < 0 || len > size then invalid_arg "Sat.add_block: bad range";
+  let d = b.clauses.Vec.data in
+  let top = if len = size then b.top else d.(len) in
+  if top + shift > t.nvars then begin
+    (* find the first literal out of range, for the error message *)
+    let pos = ref 0 in
+    while !pos < len do
+      check_range t d (!pos + 2) d.(!pos + 1) shift;
+      pos := !pos + 2 + d.(!pos + 1)
+    done
+  end;
   if t.ok then begin
     backtrack t 0;
     t.last_result <- Unknown;
     let pos = ref 0 in
     while t.ok && !pos < len do
-      store_root t d (!pos + 1) d.(!pos) shift;
-      pos := !pos + 1 + d.(!pos)
+      store_root t d (!pos + 2) d.(!pos + 1) shift;
+      pos := !pos + 2 + d.(!pos + 1)
     done
   end
 

@@ -102,7 +102,9 @@ val add_block : t -> shift:int -> ?len:int -> block -> unit
     @raise Invalid_argument, before the solver changes, if [shift < 0],
     [len] is outside the block, or a replayed literal's variable is not
     allocated.  Clauses past [len] are not checked: a prefix of a block
-    built for a larger instance replays into a smaller one. *)
+    built for a larger instance replays into a smaller one.  The block
+    records the largest variable before each of its clauses, so the check
+    costs one comparison per replay. *)
 
 val solve : ?assumptions:int list -> ?max_conflicts:int -> t -> result
 (** Decide satisfiability under the given assumption literals.  Returns

@@ -531,7 +531,63 @@ let test_block_range () =
   refused "negative shift" (fun () -> Sat.add_block s ~shift:(-1) ~len:first b);
   refused "length past the block" (fun () -> Sat.add_block s ~shift:0 ~len:(Sat.block_size b + 1) b);
   Alcotest.check_raises "literal 0" (Invalid_argument "Sat.block_add: literal 0") (fun () ->
-      Sat.block_add b [| 1; 0 |])
+      Sat.block_add b [| 1; 0 |]);
+  (* the one bound per prefix: a middle prefix is checked against the
+     clauses before it only, and a refusal names the first literal out of
+     range, as a per-literal scan would *)
+  let b = Sat.block () in
+  Sat.block_add b [| 2; 1 |];
+  Sat.block_add b [| 3; -1 |];
+  let two = Sat.block_size b in
+  Sat.block_add b [| -9; 4; 7 |];
+  Sat.block_add b [| 12 |];
+  let s = Sat.create () in
+  ignore (Sat.new_vars s 4);
+  Sat.add_block s ~shift:1 ~len:two b;
+  let dimacs = "p cnf 4 2\n2 3 0\n-2 4 0\n" in
+  Alcotest.(check string) "valid prefix of a block whose tail is out of range" dimacs
+    (Sat.to_dimacs s);
+  Alcotest.check_raises "out-of-range prefix names its first literal"
+    (Invalid_argument "Sat.add_clause: unknown variable 9") (fun () -> Sat.add_block s ~shift:0 b);
+  Alcotest.(check string) "refused prefix leaves the solver as it was" dimacs (Sat.to_dimacs s);
+  Alcotest.check_raises "shifted prefix names its first literal"
+    (Invalid_argument "Sat.add_clause: unknown variable 5") (fun () ->
+      Sat.add_block s ~shift:2 ~len:two b);
+  Alcotest.(check string) "refused shift leaves the solver as it was" dimacs (Sat.to_dimacs s)
+
+(* The one range check per replay against a scan of every literal of the
+   prefix: [add_block] refuses exactly when a stored clause before [len]
+   names a variable past [num_vars] once shifted.  Tautologies are dropped
+   by [block_add], so their variables never count. *)
+let prop_block_range =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000 ~name:"block range check matches a literal scan"
+       QCheck.(quad arb_raw_clauses (int_range 0 40) (int_range 0 6) small_nat)
+       (fun ((_, clauses), nvars, shift, cut) ->
+         let tautology c = List.exists (fun l -> List.mem (-l) c) c in
+         let b = Sat.block () in
+         let sizes = ref [] in
+         List.iter
+           (fun c ->
+             Sat.block_add b (Array.of_list c);
+             sizes := Sat.block_size b :: !sizes)
+           clauses;
+         let sizes = Array.of_list (0 :: List.rev !sizes) in
+         let k = cut mod Array.length sizes in
+         let top =
+           List.fold_left
+             (fun m c ->
+               if tautology c then m else List.fold_left (fun m l -> max m (abs l)) m c)
+             0
+             (List.filteri (fun i _ -> i < k) clauses)
+         in
+         let s = Sat.create () in
+         ignore (Sat.new_vars s nvars);
+         let empty = Sat.to_dimacs s in
+         let out_of_range = top > 0 && top + shift > nvars in
+         match Sat.add_block s ~shift ~len:sizes.(k) b with
+         | () -> not out_of_range
+         | exception Invalid_argument _ -> out_of_range && Sat.to_dimacs s = empty))
 
 let () =
   Alcotest.run "sat"
@@ -559,6 +615,7 @@ let () =
           prop_intake_matches_list_oracle;
           prop_reset_is_create;
           prop_block_matches_clauses;
+          prop_block_range;
         ]
       );
     ]

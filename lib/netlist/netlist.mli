@@ -69,7 +69,10 @@ val output_readers : t -> net -> (string * int) list
 
 val topo_order : t -> int array
 (** Combinational cell ids in dataflow order: every cell appears after all
-    combinational drivers of its inputs. *)
+    combinational drivers of its inputs.  The order of Kahn's algorithm
+    seeded with the ready cells in id order, so it depends only on the
+    cells; a netlist from an extending {!Builder.finish} computes it on the
+    first call. *)
 
 val dffs : t -> int list
 (** Ids of all DFF cells. *)
@@ -205,5 +208,14 @@ module Builder : sig
 
   val finish : t -> netlist
   (** Validate and freeze.  @raise Invalid_argument describing the first
-      violated structural invariant. *)
+      violated structural invariant.  On a builder from {!of_netlist} the
+      cost follows the edits: the parent's driver map, fan-out lists and
+      DFF list are patched where the builder changed them, only the edited
+      and added cells are checked, and the topological order is computed
+      on its first {!topo_order}. *)
+
+  val finish_full : t -> netlist
+  (** The same netlist as {!finish}, every table derived from every cell
+      and the topological order computed at once: the reference the
+      extension path is tested against. *)
 end

@@ -84,6 +84,20 @@ type config = {
 val default_config : config
 (** mitigation off, 200_000 conflicts, automatic bound. *)
 
+val assumes_for : target -> Netlist.t -> Formal.expr list
+(** The input constraints every cover check of the target's instrumented
+    netlists runs under: valid opcodes for the ALU, a valid-input handshake
+    for the FPU. *)
+
+val observed_divergences : Fault.instrumented -> Formal.Trace.t -> (string * int * int) list
+(** [(port, bit, cycle)] for every output-port bit whose original and
+    shadow values differ at a cycle of the trace, cycle by cycle, in
+    [shadow_of] order.  Read from the trace's [observed] values, so the
+    trace must come from a check with [~watch:inst.watch].  Exact: every
+    net at every cycle of a trace is a function of its inputs and the reset
+    state, and the check encoded all of them.  The test cases of
+    {!lift_pair} are built from it. *)
+
 val lift_pair :
   ?config:config ->
   target ->

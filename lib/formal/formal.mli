@@ -81,7 +81,9 @@ type outcome =
 val sequential_depth : Netlist.t -> int option
 (** [Some d] when the DFF-to-DFF dependency graph is acyclic, where [d] is
     the length of its longest register chain; [None] for circuits with
-    state feedback. *)
+    state feedback.  Each domain keeps the net levels of the last netlist
+    it walked in full, so a netlist extending it ({!Netlist.Builder.of_netlist})
+    walks only from the DFFs past the cells they share. *)
 
 val check_cover :
   ?assumes:expr list ->

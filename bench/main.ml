@@ -43,10 +43,7 @@ let aged_timing_alu8 =
 let alu8_fresh_crit =
   let tree = Clock_tree.two_domain_gated ~sp_gated:0.05 () in
   let timing = Sta.fresh_timing ~clock_tree:tree c28 in
-  let r = Sta.analyze ~timing ~clock_period_ps:1e9 alu8.Lift.netlist in
-  List.fold_left
-    (fun acc (e : Sta.endpoint_slack) -> Float.max acc (1e9 -. e.Sta.setup_slack_ps))
-    0.0 r.Sta.endpoint_slacks
+  Sta.critical_path_ps ~timing alu8.Lift.netlist
 
 let small_suite =
   let r =
@@ -427,12 +424,7 @@ let ablation_adder_architecture () =
       let nl = Alu.netlist ~width:8 ~adder:style () in
       let tree = Clock_tree.two_domain_gated ~sp_gated:0.05 () in
       let fresh = Sta.fresh_timing ~clock_tree:tree c28 in
-      let probe = Sta.analyze ~timing:fresh ~clock_period_ps:1e9 nl in
-      let crit =
-        List.fold_left
-          (fun acc (e : Sta.endpoint_slack) -> Float.max acc (1e9 -. e.Sta.setup_slack_ps))
-          0.0 probe.Sta.endpoint_slacks
-      in
+      let crit = Sta.critical_path_ps ~timing:fresh nl in
       let aged = Sta.aged_timing ~clock_tree:tree ~sp_of_net:(fun _ -> 0.3) ~years:10.0 aglib in
       let pairs = Sta.violating_pairs ~timing:aged ~clock_period_ps:(crit *. 1.005) nl in
       Printf.printf "  %-13s %5d cells, fresh critical %6.0f ps, %d aging-prone pairs\n" name
@@ -885,13 +877,7 @@ let run_analyze_bench () =
   let tree = Clock_tree.two_domain_gated ~sp_gated:0.05 () in
   let measure name nl ~reps =
     let fresh = Sta.fresh_timing ~clock_tree:tree c28 in
-    let probe = Sta.analyze ~timing:fresh ~clock_period_ps:1e9 nl in
-    let crit =
-      List.fold_left
-        (fun acc (e : Sta.endpoint_slack) -> Float.max acc (1e9 -. e.Sta.setup_slack_ps))
-        0.0 probe.Sta.endpoint_slacks
-    in
-    let clock_period_ps = crit *. 1.005 in
+    let clock_period_ps = Sta.critical_path_ps ~timing:fresh nl *. 1.005 in
     let sb, spbound_ms = timed (fun () -> Spbound.analyze nl) in
     let pvs, classify_ms =
       timed (fun () -> Spbound.classify ~clock_tree:tree ~aglib ~years:10.0 ~clock_period_ps sb)

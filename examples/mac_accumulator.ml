@@ -92,13 +92,7 @@ let () =
   let aglib = Aging.Timing_library.build Cell.Library.c28 in
   let tree = Clock_tree.single_domain in
   let fresh = Sta.fresh_timing ~clock_tree:tree Cell.Library.c28 in
-  let probe = Sta.analyze ~timing:fresh ~clock_period_ps:1e9 nl in
-  let crit =
-    List.fold_left
-      (fun acc (e : Sta.endpoint_slack) -> Float.max acc (1e9 -. e.Sta.setup_slack_ps))
-      0.0 probe.Sta.endpoint_slacks
-  in
-  let period = crit *. 1.005 in
+  let period = Sta.critical_path_ps ~timing:fresh nl *. 1.005 in
   let aged =
     Sta.aged_timing ~clock_tree:tree ~sp_of_net:(fun n -> Sim.sp sim n) ~years:10.0 aglib
   in

@@ -40,14 +40,17 @@ let fpu_report c = c.fpu_nomit
 let alu_report_mitigated c = c.alu_mit
 let fpu_report_mitigated c = c.fpu_mit
 
-(* The representative workload of phase one: the minver kernel, compiled
-   for the machine's word width (paper Section 4). *)
-let minver_workload m =
+(* A workload benchmark's kernel, compiled for the machine's word width. *)
+let kernel_workload (b : Workload.benchmark) m =
   let width = (Machine.config m).Machine.width in
   let fmt = (Machine.config m).Machine.fmt in
-  let compiled = Minic.compile ~width ~fmt Workload.minver.Workload.program in
+  let compiled = Minic.compile ~width ~fmt b.Workload.program in
   Machine.reset m;
   ignore (Machine.run ~max_instructions:3_000_000 m (Minic.assemble compiled))
+
+(* The representative workload of phase one: the minver kernel
+   (paper Section 4). *)
+let minver_workload = kernel_workload Workload.minver
 
 let make_report analysis lift_config =
   let pair_results = Vega.error_lifting ~config:lift_config analysis in
@@ -801,28 +804,14 @@ let campaign_row_of_json j =
 
 (* Lift worst-slack-first violating pairs until [n] produce test cases. *)
 let select_campaign_pairs (target : Lift.target) pairs n =
-  let seen = Hashtbl.create 32 in
   let rec go acc count = function
     | [] -> List.rev acc
     | _ when count >= n -> List.rev acc
-    | (start, Sta.At_dff end_id, check, _slack) :: rest -> (
-      match start with
-      | Sta.From_input _ -> go acc count rest
-      | Sta.From_dff start_id ->
-        let key = (start_id, end_id, check) in
-        if Hashtbl.mem seen key then go acc count rest
-        else begin
-          Hashtbl.replace seen key ();
-          let start_dff = (Netlist.cell target.Lift.netlist start_id).Netlist.name in
-          let end_dff = (Netlist.cell target.Lift.netlist end_id).Netlist.name in
-          let violation =
-            match check with Sta.Setup -> Fault.Setup_violation | Sta.Hold -> Fault.Hold_violation
-          in
-          let pr = Lift.lift_pair target ~start_dff ~end_dff ~violation in
-          if pr.Lift.cases <> [] then go (pr :: acc) (count + 1) rest else go acc count rest
-        end)
+    | (start_dff, end_dff, violation) :: rest ->
+      let pr = Lift.lift_pair target ~start_dff ~end_dff ~violation in
+      if pr.Lift.cases <> [] then go (pr :: acc) (count + 1) rest else go acc count rest
   in
-  go [] 0 pairs
+  go [] 0 (Lift.register_pairs target.Lift.netlist pairs)
 
 let campaign_dims (target : Lift.target) =
   match target.Lift.kind with
@@ -1373,17 +1362,7 @@ let attack_campaign ?(config = quick_attack_campaign) ?netlist ?(log = fun _ -> 
   let nl = target.Lift.netlist in
   let cells = attack_campaign_cells ?netlist config in
   let aglib = Aging.Timing_library.build Cell.Library.c28 in
-  let worst_arrival timing =
-    let probe = Sta.analyze ~timing ~clock_period_ps:1e9 nl in
-    List.fold_left
-      (fun acc (e : Sta.endpoint_slack) -> Float.max acc (1e9 -. e.Sta.setup_slack_ps))
-      0.0 probe.Sta.endpoint_slacks
-  in
-  let replay label ops =
-    match Vega.replay_sp target ops with
-    | Some (samples, sp) -> (samples, sp)
-    | None -> failwith (Printf.sprintf "attack-campaign: %s SP replay produced no samples" label)
-  in
+  let worst_arrival timing = Sta.critical_path_ps ~timing nl in
   let aged sp years = Sta.aged_timing ~sp_of_net:sp ~years aglib in
   let corner =
     ck_memo checkpoint "corner" ~encode:attack_corner_to_json ~decode:attack_corner_of_json
@@ -1405,8 +1384,10 @@ let attack_campaign ?(config = quick_attack_campaign) ?netlist ?(log = fun _ -> 
             ~timing_of_years:(fun y -> aged sp y)
             ~clock_period_ps nl
         in
-        let _, nom_sp =
-          replay "nominal" (Vega.recorded_unit_ops target ~workload:Vega.run_minver_workload)
+        let nom_sp =
+          match Vega.profile_sp target ~workload:Vega.run_minver_workload with
+          | Some (_, sp) -> sp
+          | None -> failwith "attack-campaign: nominal SP profile produced no samples"
         in
         let ttv_nominal = ttv nom_sp in
         let ttv_attack = ttv r.Attack.atk_sp_of_net in
@@ -1432,7 +1413,11 @@ let attack_campaign ?(config = quick_attack_campaign) ?netlist ?(log = fun _ -> 
   in
   (* Re-derive the attacked SP profile from the winning stream — the same
      replay on both the fresh and the resumed path. *)
-  let _, att_sp = replay "attack" corner.ac_ops in
+  let att_sp =
+    match Vega.replay_sp target corner.ac_ops with
+    | Some (_, sp) -> sp
+    | None -> failwith "attack-campaign: attack SP replay produced no samples"
+  in
   let att_timing = aged att_sp config.ak_years_max in
   (* Defense: canary monitors planned from the attack-aged corner,
      CEC-proved inert before any machine runs them. *)
@@ -1773,12 +1758,18 @@ let fleet_digest ?netlist (c : fleet_config) =
       String.concat "," (List.map string_of_int c.fd_poison);
     ]
 
-let kernel_workload (b : Workload.benchmark) m =
-  let width = (Machine.config m).Machine.width in
-  let fmt = (Machine.config m).Machine.fmt in
-  let compiled = Minic.compile ~width ~fmt b.Workload.program in
-  Machine.reset m;
-  ignore (Machine.run ~max_instructions:3_000_000 m (Minic.assemble compiled))
+(* The aging library at a device corner.  Overdrive accelerates BTI
+   roughly with the square of the stress voltage: the Vdd corner is folded
+   into the 10-year anchor. *)
+let corner_aging_library ~temp_k ~vdd =
+  let config =
+    {
+      Aging.default_config with
+      Aging.temp_k;
+      calibration_dvth_10y = Aging.default_config.Aging.calibration_dvth_10y *. vdd *. vdd;
+    }
+  in
+  Aging.Timing_library.build ~config Cell.Library.c28
 
 (* One device's evaluation: a pure function of (seed, corner) and the
    shared read-only context — the whole fleet determinism argument. *)
@@ -1786,17 +1777,7 @@ let fleet_eval ~config ~clock_period_ps ~nl ~sp_by_kernel ~suite ~case_prefix_cy
     =
   if List.mem corner.dc_device config.fd_poison then
     failwith (Printf.sprintf "device %d is poisoned (forced persistent failure)" corner.dc_device);
-  let aging_cfg =
-    {
-      Aging.default_config with
-      Aging.temp_k = corner.dc_temp_k;
-      (* overdrive accelerates BTI roughly with the square of the stress
-         voltage: fold the device's Vdd corner into the 10-year anchor *)
-      calibration_dvth_10y =
-        Aging.default_config.Aging.calibration_dvth_10y *. corner.dc_vdd *. corner.dc_vdd;
-    }
-  in
-  let aglib = Aging.Timing_library.build ~config:aging_cfg Cell.Library.c28 in
+  let aglib = corner_aging_library ~temp_k:corner.dc_temp_k ~vdd:corner.dc_vdd in
   let sp = List.assoc corner.dc_kernel sp_by_kernel in
   let clock_tree = Vega.default_phase1.Vega.clock_tree in
   let row ~onset ~pair ~specs ~detected ~escape ~latency =
@@ -1827,25 +1808,12 @@ let fleet_eval ~config ~clock_period_ps ~nl ~sp_by_kernel ~suite ~case_prefix_cy
   match scan 1 with
   | None -> row ~onset:None ~pair:"-" ~specs:0 ~detected:0 ~escape:false ~latency:None
   | Some (onset, pairs) -> (
-    let worst =
-      List.find_map
-        (fun (start, Sta.At_dff end_id, check, _slack) ->
-          match start with
-          | Sta.From_input _ -> None
-          | Sta.From_dff start_id -> Some (start_id, end_id, check))
-        pairs
-    in
-    match worst with
+    match List.find_map (Lift.decode_pair nl) pairs with
     | None ->
       (* violated, but only on input-launched paths: nothing the capture
          fault model can express, so the device counts as an escape *)
       row ~onset:(Some onset) ~pair:"-" ~specs:0 ~detected:0 ~escape:true ~latency:None
-    | Some (start_id, end_id, check) ->
-      let start_dff = (Netlist.cell nl start_id).Netlist.name in
-      let end_dff = (Netlist.cell nl end_id).Netlist.name in
-      let kind =
-        match check with Sta.Setup -> Fault.Setup_violation | Sta.Hold -> Fault.Hold_violation
-      in
+    | Some (start_dff, end_dff, kind) ->
       let faulty_specs =
         List.filter_map
           (fun constant ->
@@ -1922,16 +1890,7 @@ let fleet_campaign ?(config = quick_fleet) ?netlist ?(domains = 1) ?(log = fun _
      Devices whose onset pair falls outside the lifted budget are the
      campaign's escapes. *)
   let worst_pairs =
-    let aging_cfg =
-      {
-        Aging.default_config with
-        Aging.temp_k = config.fd_temp_max_k;
-        calibration_dvth_10y =
-          Aging.default_config.Aging.calibration_dvth_10y *. config.fd_vdd_max
-          *. config.fd_vdd_max;
-      }
-    in
-    let aglib = Aging.Timing_library.build ~config:aging_cfg Cell.Library.c28 in
+    let aglib = corner_aging_library ~temp_k:config.fd_temp_max_k ~vdd:config.fd_vdd_max in
     let timing =
       Sta.aged_timing
         ~clock_tree:Vega.default_phase1.Vega.clock_tree

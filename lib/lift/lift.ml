@@ -435,45 +435,31 @@ let fuzz_pair ?(fuzz = default_fuzz_config) target ~start_dff ~end_dff ~violatio
     cases;
   }
 
-let lift_violating_pairs ?config target pairs =
-  (* keep the worst slack per (start, end, check) and lift each *)
+let decode_pair nl (start, Sta.At_dff end_id, check, _slack) =
+  match start with
+  | Sta.From_input _ -> None
+  | Sta.From_dff start_id ->
+    let name id = (Netlist.cell nl id).Netlist.name in
+    let violation =
+      match check with Sta.Setup -> Fault.Setup_violation | Sta.Hold -> Fault.Hold_violation
+    in
+    Some (name start_id, name end_id, violation)
+
+let register_pairs nl pairs =
   let seen = Hashtbl.create 32 in
   List.filter_map
-    (fun (start, Sta.At_dff end_id, check, _slack) ->
-      match start with
-      | Sta.From_input _ -> None
-      | Sta.From_dff start_id ->
-        let key = (start_id, end_id, check) in
-        if Hashtbl.mem seen key then None
-        else begin
-          Hashtbl.replace seen key ();
-          let start_dff = (Netlist.cell target.netlist start_id).Netlist.name in
-          let end_dff = (Netlist.cell target.netlist end_id).Netlist.name in
-          let violation =
-            match check with
-            | Sta.Setup -> Fault.Setup_violation
-            | Sta.Hold -> Fault.Hold_violation
-          in
-          Some (lift_pair ?config target ~start_dff ~end_dff ~violation)
-        end)
+    (fun ((start, end_, check, _) as pair) ->
+      if Hashtbl.mem seen (start, end_, check) then None
+      else begin
+        Hashtbl.replace seen (start, end_, check) ();
+        decode_pair nl pair
+      end)
     pairs
 
-let lift_paths ?config target paths =
-  let pairs = Sta.unique_pairs paths in
-  List.filter_map
-    (fun ((start, Sta.At_dff end_id), (path : Sta.path)) ->
-      match start with
-      | Sta.From_input _ -> None
-      | Sta.From_dff start_id ->
-        let start_dff = (Netlist.cell target.netlist start_id).Netlist.name in
-        let end_dff = (Netlist.cell target.netlist end_id).Netlist.name in
-        let violation =
-          match path.Sta.check with
-          | Sta.Setup -> Fault.Setup_violation
-          | Sta.Hold -> Fault.Hold_violation
-        in
-        Some (lift_pair ?config target ~start_dff ~end_dff ~violation))
-    pairs
+let lift_violating_pairs ?config target pairs =
+  List.map
+    (fun (start_dff, end_dff, violation) -> lift_pair ?config target ~start_dff ~end_dff ~violation)
+    (register_pairs target.netlist pairs)
 
 (* ---- rendering ---- *)
 

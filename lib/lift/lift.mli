@@ -166,19 +166,29 @@ val fuzz_pair :
     exhausted budget classifies [FF] even when a formal proof would say
     [UR] — exactly the fuzzing/formal trade-off the paper discusses. *)
 
+val decode_pair :
+  Netlist.t ->
+  Sta.startpoint * Sta.endpoint * Sta.check * float ->
+  (string * string * Fault.violation_kind) option
+(** One {!Sta.violating_pairs} entry as the fault model's
+    [(start_dff, end_dff, violation)]; [None] for an input-launched entry,
+    which has no register startpoint. *)
+
+val register_pairs :
+  Netlist.t ->
+  (Sta.startpoint * Sta.endpoint * Sta.check * float) list ->
+  (string * string * Fault.violation_kind) list
+(** {!decode_pair} over a violating-pairs listing, keeping the first
+    entry of each (startpoint, endpoint, check) — the worst, in a
+    worst-first listing — and the listing's order. *)
+
 val lift_violating_pairs :
   ?config:config ->
   target ->
   (Sta.startpoint * Sta.endpoint * Sta.check * float) list ->
   pair_result list
-(** Lift each unique violating register pair from {!Sta.violating_pairs}
-    (input-launched entries are skipped: they have no register
-    startpoint). *)
-
-val lift_paths : ?config:config -> target -> Sta.path list -> pair_result list
-(** Filter violating paths to unique (startpoint, endpoint) pairs (keeping
-    the worst) and lift each.  Paths launched by primary inputs are skipped
-    (they have no register startpoint). *)
+(** Lift each of the {!register_pairs} of a {!Sta.violating_pairs}
+    listing. *)
 
 (** {1 Rendering to instructions} *)
 

@@ -298,31 +298,15 @@ type item = {
 }
 
 let items_of_pairs nl pairs =
-  let seen = Hashtbl.create 32 in
-  List.filter_map
-    (fun (start, Sta.At_dff end_id, check, _slack) ->
-      match start with
-      | Sta.From_input _ -> None
-      | Sta.From_dff start_id ->
-        let key = (start_id, end_id, check) in
-        if Hashtbl.mem seen key then None
-        else begin
-          Hashtbl.replace seen key ();
-          let it_start = (Netlist.cell nl start_id).Netlist.name in
-          let it_end = (Netlist.cell nl end_id).Netlist.name in
-          let it_violation =
-            match check with Sta.Setup -> Fault.Setup_violation | Sta.Hold -> Fault.Hold_violation
-          in
-          Some
-            {
-              it_key =
-                Printf.sprintf "%s~%s~%s" it_start it_end (Serial.violation_name it_violation);
-              it_start;
-              it_end;
-              it_violation;
-            }
-        end)
-    pairs
+  List.map
+    (fun (it_start, it_end, it_violation) ->
+      {
+        it_key = Printf.sprintf "%s~%s~%s" it_start it_end (Serial.violation_name it_violation);
+        it_start;
+        it_end;
+        it_violation;
+      })
+    (Lift.register_pairs nl pairs)
 
 type item_report = {
   ir_item : item;

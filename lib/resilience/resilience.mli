@@ -160,9 +160,8 @@ type item = {
 
 val items_of_pairs :
   Netlist.t -> (Sta.startpoint * Sta.endpoint * Sta.check * float) list -> item list
-(** Unique register pairs of a violating-pairs listing, in order (the same
-    dedup {!Lift.lift_violating_pairs} applies); input-launched entries are
-    skipped. *)
+(** One item per {!Lift.register_pairs} entry of a violating-pairs
+    listing, in order. *)
 
 type item_report = {
   ir_item : item;

@@ -334,6 +334,14 @@ let analyze ?(constrain_inputs = false) ?(max_violating_paths = 10_000) ~timing
     truncated = !truncated;
   }
 
+(* Setup slacks at a period so long that nothing violates: [1e9 - slack]
+   is each endpoint's required period.  No path is enumerated. *)
+let critical_path_ps ~timing nl =
+  let probe = analyze ~max_violating_paths:0 ~timing ~clock_period_ps:1e9 nl in
+  List.fold_left
+    (fun acc e -> Float.max acc (1e9 -. e.setup_slack_ps))
+    0.0 probe.endpoint_slacks
+
 (* Exact per-(startpoint, endpoint) worst slacks: for each endpoint, one
    backward DP over its fan-in cone computes the max (resp. min) path delay
    from every net to the endpoint's D pin, from which each launching
@@ -485,18 +493,6 @@ let violating_pairs ?constrain_inputs ?skip ~timing ~clock_period_ps nl =
   endpoint_pairs ?constrain_inputs ?skip ~timing ~clock_period_ps nl
   |> List.filter (fun (_, _, _, slack) -> slack < 0.0)
   |> List.sort (fun (_, _, _, a) (_, _, _, b) -> Float.compare a b)
-
-let unique_pairs paths =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun p ->
-      let key = (p.start, p.finish) in
-      match Hashtbl.find_opt tbl key with
-      | Some best when best.slack_ps <= p.slack_ps -> ()
-      | _ -> Hashtbl.replace tbl key p)
-    paths;
-  Hashtbl.fold (fun key p acc -> (key, p) :: acc) tbl []
-  |> List.sort (fun (_, a) (_, b) -> Float.compare a.slack_ps b.slack_ps)
 
 (* Worst path of one pair: run the per-endpoint DP of [endpoint_pairs] for
    the one endpoint, then walk forward from the launching net choosing at

@@ -10,8 +10,9 @@
 
     Violating *paths* (not just endpoints) are recovered by a backward
     depth-first search with arrival-time pruning, capped to keep enumeration
-    tractable; Vega's Error Lifting keeps one representative path per unique
-    (startpoint, endpoint) pair, mirroring Section 5.2.1. *)
+    tractable.  Error Lifting consumes {!violating_pairs} instead: the exact
+    worst slack of each unique (startpoint, endpoint) pair, mirroring
+    Section 5.2.1. *)
 
 type startpoint =
   | From_dff of int  (** launching DFF cell id *)
@@ -96,6 +97,13 @@ val analyze :
     inputs arrive at [timing.input_arrival_ps] and participate in both
     checks. *)
 
+val critical_path_ps : timing:timing_source -> Netlist.t -> float
+(** The fresh critical path: the shortest clock period at which every
+    endpoint meets setup under [timing], read off the setup slacks of an
+    {!analyze} run at a period so long that nothing violates ([0.0] for a
+    netlist without registers).  Phase 1's target clock is this times a
+    sign-off margin. *)
+
 val endpoint_pairs :
   ?constrain_inputs:bool ->
   ?skip:(startpoint -> endpoint -> check -> bool) ->
@@ -153,11 +161,6 @@ val violating_pairs :
 (** The negative-slack subset of {!endpoint_pairs}, worst first — the exact
     list of unique aging-prone pairs Error Lifting consumes.  [skip] is
     sound to use exactly when skipped pairs are proven non-violating. *)
-
-val unique_pairs : path list -> ((startpoint * endpoint) * path) list
-(** Group violating paths by (startpoint, endpoint) keeping the
-    worst-slack representative of each pair, worst-first — the filtering
-    Vega applies before test-case generation. *)
 
 val pair_path :
   ?constrain_inputs:bool ->

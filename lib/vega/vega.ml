@@ -236,6 +236,27 @@ let profile_sp (target : Lift.target) ~workload =
   record_unit_ops target ~workload (push st);
   replay_stream target st
 
+(* ---- the phase-1 hand-off: target clock and static triage ---------- *)
+
+type clock = { fresh_timing : Sta.timing_source; critical_path_ps : float; period_ps : float }
+
+(* target clock: fresh critical path plus the signoff margin *)
+let phase1_clock config nl =
+  let fresh_timing =
+    Sta.fresh_timing ~derate:config.derate ~clock_tree:config.clock_tree Cell.Library.c28
+  in
+  let critical_path_ps = Sta.critical_path_ps ~timing:fresh_timing nl in
+  { fresh_timing; critical_path_ps; period_ps = critical_path_ps *. config.clock_margin }
+
+let static_triage ?aglib config ~clock_period_ps nl =
+  let aglib =
+    match aglib with Some l -> l | None -> Aging.Timing_library.build Cell.Library.c28
+  in
+  let sb = Spbound.analyze nl in
+  ( sb,
+    Spbound.classify ~derate:config.derate ~clock_tree:config.clock_tree ~aglib
+      ~years:config.years ~clock_period_ps sb )
+
 let aging_analysis ?(config = default_phase1) ?(static_prune = false) (target : Lift.target)
     ~workload =
   Telemetry.with_span ~cat:"vega" "vega.phase1" @@ fun () ->
@@ -266,20 +287,10 @@ let aging_analysis ?(config = default_phase1) ?(static_prune = false) (target : 
     match profiled_sp with None -> fun _ -> config.sp_fallback | Some f -> f
   in
   let aglib = Aging.Timing_library.build Cell.Library.c28 in
-  (* target clock: fresh critical path plus the signoff margin *)
-  let fresh_timing =
-    Sta.fresh_timing ~derate:config.derate ~clock_tree:config.clock_tree Cell.Library.c28
-  in
   let clock_period_ps, fresh_report =
     Telemetry.with_span ~cat:"vega" "vega.fresh_sta" @@ fun () ->
-    let fresh_probe = Sta.analyze ~timing:fresh_timing ~clock_period_ps:1e9 nl in
-    let crit =
-      List.fold_left
-        (fun acc (e : Sta.endpoint_slack) -> Float.max acc (1e9 -. e.Sta.setup_slack_ps))
-        0.0 fresh_probe.Sta.endpoint_slacks
-    in
-    let clock_period_ps = crit *. config.clock_margin in
-    (clock_period_ps, Sta.analyze ~timing:fresh_timing ~clock_period_ps nl)
+    let clock = phase1_clock config nl in
+    (clock.period_ps, Sta.analyze ~timing:clock.fresh_timing ~clock_period_ps:clock.period_ps nl)
   in
   (* Static triage: under the sound default assumptions (any workload),
      every pair Spbound proves Safe can never violate — whatever SP the
@@ -289,11 +300,7 @@ let aging_analysis ?(config = default_phase1) ?(static_prune = false) (target : 
     if not static_prune then None
     else
       Telemetry.with_span ~cat:"vega" "vega.spbound" @@ fun () ->
-      let sb = Spbound.analyze nl in
-      let pvs =
-        Spbound.classify ~derate:config.derate ~clock_tree:config.clock_tree ~aglib
-          ~years:config.years ~clock_period_ps sb
-      in
+      let _, pvs = static_triage ~aglib config ~clock_period_ps nl in
       let safe, critical, unknown = Spbound.verdict_counts pvs in
       Telemetry.Counter.add tele_spbound_safe safe;
       Telemetry.Counter.add tele_spbound_critical critical;
@@ -462,8 +469,7 @@ let repair ?(config = default_phase1) ?repair_config ?checkpoint ?log
   in
   let classify nl' =
     Spbound.verdict_counts
-      (Spbound.classify ~derate:config.derate ~clock_tree:config.clock_tree ~aglib
-         ~years:config.years ~clock_period_ps:analysis.clock_period_ps (Spbound.analyze nl'))
+      (snd (static_triage ~aglib config ~clock_period_ps:analysis.clock_period_ps nl'))
   in
   let before =
     match analysis.static_verdicts with

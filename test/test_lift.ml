@@ -89,27 +89,45 @@ let test_lift_fpu_valid_chain () =
   Alcotest.(check bool) "some case may stall" true
     (List.exists (fun (tc : Lift.test_case) -> tc.Lift.tc_may_stall) r.Lift.cases)
 
+(* The one decoder of violating-pair listings: input-launched entries are
+   skipped, the first (worst) entry of each (start, end, check) is kept,
+   the listing's order is kept, and every consumer sees the same pairs. *)
 let test_lift_violating_pairs_dedup () =
+  let nl = alu8.Lift.netlist in
+  let id name = (Netlist.find_cell nl name).Netlist.id in
+  let pair s e check slack = (Sta.From_dff (id s), Sta.At_dff (id e), check, slack) in
+  let input = (Sta.From_input ("a", 0), Sta.At_dff (id "r_q0"), Sta.Setup, -20.0) in
   let pairs =
     [
-      (Sta.From_dff 0, Sta.At_dff 5, Sta.Setup, -10.0);
-      (Sta.From_dff 0, Sta.At_dff 5, Sta.Setup, -5.0);
-      (Sta.From_input ("a", 0), Sta.At_dff 5, Sta.Setup, -3.0);
+      pair "b_q0" "r_q0" Sta.Setup (-30.0);
+      input;
+      pair "a_q0" "r_q0" Sta.Setup (-17.0);
+      pair "b_q0" "r_q0" Sta.Setup (-5.0);
+      pair "b_q0" "r_q0" Sta.Hold (-1.0);
+      pair "a_q0" "r_q0" Sta.Setup (-0.5);
     ]
   in
-  (* cell 0 of the ALU8 netlist is an input-rank register? use real ids *)
-  let nl = alu8.Lift.netlist in
-  let aq0 = (Netlist.find_cell nl "a_q0").Netlist.id in
-  let rq0 = (Netlist.find_cell nl "r_q0").Netlist.id in
-  let pairs =
-    List.map
-      (fun (s, _, c, sl) ->
-        let s = match s with Sta.From_dff _ -> Sta.From_dff aq0 | x -> x in
-        (s, Sta.At_dff rq0, c, sl))
-      pairs
-  in
-  let results = Lift.lift_violating_pairs alu8 pairs in
-  Alcotest.(check int) "dedup to one register pair" 1 (List.length results)
+  let decoded = Alcotest.(list (triple string string bool)) in
+  let show = List.map (fun (s, e, v) -> (s, e, v = Fault.Setup_violation)) in
+  Alcotest.(check bool) "input-launched entry decodes to nothing" true
+    (Lift.decode_pair nl input = None);
+  Alcotest.(check decoded) "register entry decodes to names and kind"
+    [ ("b_q0", "r_q0", false) ]
+    (show (Option.to_list (Lift.decode_pair nl (pair "b_q0" "r_q0" Sta.Hold 0.0))));
+  let expected = [ ("b_q0", "r_q0", true); ("a_q0", "r_q0", true); ("b_q0", "r_q0", false) ] in
+  Alcotest.(check decoded) "first of each pair and check, in order" expected
+    (show (Lift.register_pairs nl pairs));
+  Alcotest.(check (list string)) "supervisor item keys"
+    [ "b_q0~r_q0~setup"; "a_q0~r_q0~setup"; "b_q0~r_q0~hold" ]
+    (List.map (fun (it : Resilience.item) -> it.Resilience.it_key)
+       (Resilience.items_of_pairs nl pairs));
+  let setup_only = List.filter (fun (_, _, c, _) -> c = Sta.Setup) pairs in
+  Alcotest.(check decoded) "lifted pairs"
+    (List.filter (fun (_, _, setup) -> setup) expected)
+    (show
+       (List.map
+          (fun (r : Lift.pair_result) -> (r.Lift.start_dff, r.Lift.end_dff, r.Lift.violation))
+          (Lift.lift_violating_pairs alu8 setup_only)))
 
 let test_case_instrs_shape () =
   let r = Lift.lift_pair alu8 ~start_dff:"a_q0" ~end_dff:"r_q0" ~violation:Fault.Setup_violation in

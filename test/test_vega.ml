@@ -55,6 +55,50 @@ let test_static_prune_identical () =
   Alcotest.(check bool) "unpruned run records no verdicts" true
     (analysis.Vega.static_verdicts = None)
 
+(* [Vega.phase1_clock] is the clock [aging_analysis] runs at, bit for bit,
+   and the fresh critical path the inline probe phase 1 used to compute;
+   [Vega.static_triage] at that clock is the triage a pruned analysis
+   records. *)
+let test_phase1_owners () =
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  List.iter
+    (fun (name, (target : Lift.target), (config : Vega.phase1_config)) ->
+      let nl = target.Lift.netlist in
+      let a =
+        Vega.aging_analysis ~config ~static_prune:true target ~workload:Vega.run_minver_workload
+      in
+      let clock = Vega.phase1_clock config nl in
+      let probe =
+        let timing =
+          Sta.fresh_timing ~derate:config.Vega.derate ~clock_tree:config.Vega.clock_tree
+            Cell.Library.c28
+        in
+        let r = Sta.analyze ~timing ~clock_period_ps:1e9 nl in
+        List.fold_left
+          (fun acc (e : Sta.endpoint_slack) -> Float.max acc (1e9 -. e.Sta.setup_slack_ps))
+          0.0 r.Sta.endpoint_slacks
+      in
+      Alcotest.(check bool) (name ^ ": clock = analysis clock") true
+        (same clock.Vega.period_ps a.Vega.clock_period_ps);
+      Alcotest.(check bool) (name ^ ": critical path = inline probe") true
+        (same clock.Vega.critical_path_ps probe);
+      Alcotest.(check bool) (name ^ ": clock = critical path x margin") true
+        (same clock.Vega.period_ps (probe *. config.Vega.clock_margin));
+      let _, pvs = Vega.static_triage config ~clock_period_ps:clock.Vega.period_ps nl in
+      let inline_triage =
+        Spbound.classify ~derate:config.Vega.derate ~clock_tree:config.Vega.clock_tree
+          ~aglib:(Aging.Timing_library.build Cell.Library.c28) ~years:config.Vega.years
+          ~clock_period_ps:a.Vega.clock_period_ps (Spbound.analyze nl)
+      in
+      Alcotest.(check bool) (name ^ ": triage = inline triage") true (pvs = inline_triage);
+      Alcotest.(check bool) (name ^ ": triage = recorded verdicts") true
+        (a.Vega.static_verdicts = Some pvs))
+    [
+      ("alu8", small_target, small_phase1);
+      ("alu32", Lift.alu_target ~width:32 (), Vega.default_phase1);
+      ("fpu16", Lift.fpu_target (), { Vega.default_phase1 with Vega.derate = 1.03 });
+    ]
+
 let test_full_workflow () =
   let report =
     Vega.run_workflow ~phase1:small_phase1 small_target ~workload:Vega.run_minver_workload
@@ -208,6 +252,7 @@ let () =
           Alcotest.test_case "analysis sanity" `Quick test_analysis_sanity;
           Alcotest.test_case "cell degradation" `Quick test_cell_degradation_range;
           Alcotest.test_case "static prune is transparent" `Quick test_static_prune_identical;
+          Alcotest.test_case "phase-1 hand-off owners" `Quick test_phase1_owners;
           Alcotest.test_case "full workflow" `Quick test_full_workflow;
           Alcotest.test_case "machine_for" `Quick test_machine_for;
         ] );

@@ -2,9 +2,8 @@
 
    Structure of this file:
      1. types mirrored from the interface + small helpers
-     2. dead-cell sweep and live-area accounting (the only "deletion"
-        primitive — Builder cannot remove cells, so dead logic is swept
-        by a two-pass rebuild that keeps instance names)
+     2. live-area accounting (dead logic is swept by Netlist_opt.sweep,
+        a rebuild that keeps instance names: Builder cannot remove cells)
      3. the name-keyed SP view (profiled SP survives rewrites and the
         sweep because it is keyed by instance name, not net index)
      4. edit application (each ledger edit re-derives its context from
@@ -146,28 +145,10 @@ let comb_driver nl net =
       if Cell.Kind.is_sequential c.Netlist.kind then None else Some c
 
 (* ------------------------------------------------------------------ *)
-(* Dead-cell sweep                                                     *)
-
-let live_cells nl =
-  let live = Array.make (max 1 (Netlist.num_cells nl)) false in
-  let seen = Array.make (max 1 (Netlist.num_nets nl)) false in
-  let rec need net =
-    if not seen.(net) then begin
-      seen.(net) <- true;
-      match Netlist.driver nl net with
-      | Netlist.Driven_by_input _ -> ()
-      | Netlist.Driven_by_cell id ->
-          if not live.(id) then begin
-            live.(id) <- true;
-            Array.iter need (Netlist.cell nl id).Netlist.inputs
-          end
-    end
-  in
-  List.iter (fun p -> Array.iter need p.Netlist.port_nets) (Netlist.outputs nl);
-  live
+(* Live-area accounting                                                *)
 
 let live_area celllib nl =
-  let live = live_cells nl in
+  let live = Netlist_opt.live_cells nl in
   let a = ref 0.0 in
   Array.iteri
     (fun id alive ->
@@ -178,93 +159,6 @@ let live_area celllib nl =
                .Cell.area_um2)
     live;
   !a
-
-(* Rebuild without dead cells.  Instance names, ports and the live logic
-   are preserved verbatim; only ids and net indices are renumbered (which
-   is why everything downstream is keyed by name).  Mirrors the rebuild
-   in Netlist_opt but performs no folding. *)
-let sweep_dead nl =
-  let live = live_cells nl in
-  if Array.for_all (fun x -> x) live then nl
-  else begin
-    let b = Netlist.Builder.create (Netlist.name nl) in
-    let nmap = Hashtbl.create 997 in
-    let map_net n =
-      match Hashtbl.find_opt nmap n with
-      | Some n' -> n'
-      | None -> rejectf "sweep: unmapped net %d" n
-    in
-    List.iter
-      (fun p ->
-        let nets =
-          Netlist.Builder.add_input b p.Netlist.port_name
-            (Array.length p.Netlist.port_nets)
-        in
-        Array.iteri (fun i old -> Hashtbl.replace nmap old nets.(i)) p.Netlist.port_nets)
-      (Netlist.inputs nl);
-    (* live registers first, with their D pins rewired to the real
-       drivers in pass 2.  Until then every sequential pin borrows a
-       temporarily-valid net: an input-port net when one exists (so the
-       rebuild allocates no leftover nets), else a single bootstrap net
-       that stays dangling — legal, since it ends up undriven and
-       unread. *)
-    let bootstrap =
-      ref
-        (List.find_map
-           (fun p ->
-             if Array.length p.Netlist.port_nets > 0 then
-               Hashtbl.find_opt nmap p.Netlist.port_nets.(0)
-             else None)
-           (Netlist.inputs nl))
-    in
-    let borrow_net () =
-      match !bootstrap with
-      | Some n -> n
-      | None ->
-          let n = Netlist.Builder.fresh_net b in
-          bootstrap := Some n;
-          n
-    in
-    let dff_map = ref [] in
-    List.iter
-      (fun id ->
-        if live.(id) then begin
-          let c = Netlist.cell nl id in
-          let ph = Array.map (fun _ -> borrow_net ()) c.Netlist.inputs in
-          let nid, q =
-            Netlist.Builder.add_cell_with_id ~name:c.Netlist.name
-              ~clock_domain:c.Netlist.clock_domain ~reset_value:c.Netlist.reset_value b
-              c.Netlist.kind ph
-          in
-          Hashtbl.replace nmap c.Netlist.output q;
-          dff_map := (nid, id) :: !dff_map
-        end)
-      (Netlist.dffs nl);
-    Array.iter
-      (fun id ->
-        if live.(id) then begin
-          let c = Netlist.cell nl id in
-          let out =
-            Netlist.Builder.add_cell ~name:c.Netlist.name b c.Netlist.kind
-              (Array.map map_net c.Netlist.inputs)
-          in
-          Hashtbl.replace nmap c.Netlist.output out
-        end)
-      (Netlist.topo_order nl);
-    List.iter
-      (fun (nid, oid) ->
-        let c = Netlist.cell nl oid in
-        Array.iteri
-          (fun pin old -> Netlist.Builder.rewire_input b ~cell_id:nid ~pin (map_net old))
-          c.Netlist.inputs)
-      !dff_map;
-    List.iter
-      (fun p ->
-        Netlist.Builder.add_output b p.Netlist.port_name
-          (Array.map map_net p.Netlist.port_nets))
-      (Netlist.outputs nl);
-    Netlist.Builder.finish b
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Name-keyed SP view                                                  *)
@@ -307,52 +201,6 @@ let sp_view st nl net =
 
 (* ------------------------------------------------------------------ *)
 (* Edit application                                                    *)
-
-(* Local constant-folding values used when copying a Shannon cofactor. *)
-type cvalue = Cconst of bool | Cnet of Netlist.net
-
-(* Fold a gate whose abstract inputs are [vals]; [None] means the gate
-   must be materialized. *)
-let fold_gate kind (vals : cvalue array) =
-  let kind_eval a b = Cell.Kind.eval kind [| a; b |] in
-  match kind with
-  | Cell.Kind.Buf -> Some vals.(0)
-  | Cell.Kind.Not -> (
-      match vals.(0) with Cconst v -> Some (Cconst (not v)) | Cnet _ -> None)
-  | Cell.Kind.Tie0 -> Some (Cconst false)
-  | Cell.Kind.Tie1 -> Some (Cconst true)
-  | Cell.Kind.And2 | Cell.Kind.Or2 | Cell.Kind.Xor2 | Cell.Kind.Nand2
-  | Cell.Kind.Nor2 | Cell.Kind.Xnor2 -> (
-      match (vals.(0), vals.(1)) with
-      | Cconst a, Cconst b -> Some (Cconst (kind_eval a b))
-      | (Cconst cv, (Cnet _ as other)) | ((Cnet _ as other), Cconst cv) -> (
-          match (kind, cv) with
-          | Cell.Kind.And2, false -> Some (Cconst false)
-          | Cell.Kind.And2, true -> Some other
-          | Cell.Kind.Or2, true -> Some (Cconst true)
-          | Cell.Kind.Or2, false -> Some other
-          | Cell.Kind.Xor2, false -> Some other
-          | Cell.Kind.Xnor2, true -> Some other
-          | Cell.Kind.Nand2, false -> Some (Cconst true)
-          | Cell.Kind.Nor2, true -> Some (Cconst false)
-          | _ -> None (* would need an inverter: keep the gate *))
-      | Cnet a, Cnet b when a = b -> (
-          match kind with
-          | Cell.Kind.And2 | Cell.Kind.Or2 -> Some vals.(0)
-          | Cell.Kind.Xor2 -> Some (Cconst false)
-          | Cell.Kind.Xnor2 -> Some (Cconst true)
-          | _ -> None)
-      | _ -> None)
-  | Cell.Kind.Mux2 -> (
-      match vals.(2) with
-      | Cconst false -> Some vals.(0)
-      | Cconst true -> Some vals.(1)
-      | Cnet _ -> (
-          match (vals.(0), vals.(1)) with
-          | Cnet a, Cnet b when a = b -> Some vals.(0)
-          | Cconst a, Cconst b when a = b -> Some (Cconst a)
-          | _ -> None))
-  | Cell.Kind.Dff -> None
 
 (* [apply_edit sp_of nl ~seq edit] re-derives the edit's context from
    [nl], applies it through a Builder and returns the candidate netlist
@@ -541,15 +389,16 @@ let apply_edit sp_of nl ~seq edit =
             cache := Some n;
             n
       in
+      let materialize = function Netlist_opt.Const bv -> tie bv | Netlist_opt.Same n -> n in
       let assigns = ref [] in
       let copy_cofactor tag value =
         let map = Hashtbl.create 97 in
         let abstract net =
-          if net = late_net then Cconst value
+          if net = late_net then Netlist_opt.Const value
           else
             match Netlist.driver nl net with
             | Netlist.Driven_by_cell did when Hashtbl.mem map did -> Hashtbl.find map did
-            | _ -> Cnet net
+            | _ -> Netlist_opt.Same net
         in
         let k = ref 0 in
         List.iter
@@ -557,17 +406,15 @@ let apply_edit sp_of nl ~seq edit =
             let c = Netlist.cell nl id in
             let vals = Array.map abstract c.Netlist.inputs in
             let v =
-              match fold_gate c.Netlist.kind vals with
+              match Netlist_opt.fold c.Netlist.kind vals with
               | Some v -> v
               | None ->
-                  let nets =
-                    Array.map (function Cconst bv -> tie bv | Cnet n -> n) vals
-                  in
+                  let nets = Array.map materialize vals in
                   let name = nm (Printf.sprintf "%s%d" tag !k) in
                   incr k;
                   let out = Netlist.Builder.add_cell ~name b c.Netlist.kind nets in
                   assigns := (name, 0.0) :: !assigns;
-                  Cnet out
+                  Netlist_opt.Same out
             in
             Hashtbl.replace map id v)
           cone;
@@ -577,7 +424,6 @@ let apply_edit sp_of nl ~seq edit =
       in
       let f0 = copy_cofactor "s0c" false in
       let f1 = copy_cofactor "s1c" true in
-      let materialize = function Cconst bv -> tie bv | Cnet n -> n in
       let mux =
         Netlist.Builder.add_cell ~name:(nm "mux") b Cell.Kind.Mux2
           [| materialize f0; materialize f1; late_net |]
@@ -1054,7 +900,7 @@ let evaluate st pair slack_before edit =
        if area' > st.area0 *. (1.0 +. st.cfg.rp_max_area_frac) then
          rejectf "area budget exceeded (%.1f -> %.1f um2)" st.area0 area';
        (* gate 4: the swept candidate must not introduce a lint code *)
-       let swept = sweep_dead cand in
+       let swept = Netlist_opt.sweep cand in
        let diags = Check.lint_netlist swept in
        (match Check.errors diags with
        | [] -> ()
@@ -1329,7 +1175,7 @@ let run ?(config = default_config) ?checkpoint ?(log = fun _ -> ()) ~netlist
         })
       worked
   in
-  let final = sweep_dead st.nl in
+  let final = Netlist_opt.sweep st.nl in
   {
     rs_netlist = final;
     rs_sp_of_net = sp_view st.sp final;

@@ -52,16 +52,6 @@ let kernel_workload (b : Workload.benchmark) m =
    (paper Section 4). *)
 let minver_workload = kernel_workload Workload.minver
 
-let make_report analysis lift_config =
-  let pair_results = Vega.error_lifting ~config:lift_config analysis in
-  let suite = Lift.suite_of_results analysis.Vega.target.Lift.kind pair_results in
-  {
-    Vega.analysis;
-    pair_results;
-    suite;
-    suite_cycles = Vega.suite_cycles suite;
-  }
-
 let make_context ?(config = default_config) ?(log = fun _ -> ()) () =
   let phase1 margin =
     { Vega.default_phase1 with Vega.clock_margin = margin; max_violating_paths = config.path_cap }
@@ -80,13 +70,13 @@ let make_context ?(config = default_config) ?(log = fun _ -> ()) () =
     Vega.aging_analysis ~config:(phase1 config.fpu_margin) fpu_target ~workload:minver_workload
   in
   log "phase 2: ALU error lifting (without mitigation)";
-  let alu_nomit = make_report alu_analysis (lift_cfg false) in
+  let alu_nomit = Vega.workflow_of_analysis ~phase2:(lift_cfg false) alu_analysis in
   log "phase 2: ALU error lifting (with mitigation)";
-  let alu_mit = make_report alu_analysis (lift_cfg true) in
+  let alu_mit = Vega.workflow_of_analysis ~phase2:(lift_cfg true) alu_analysis in
   log "phase 2: FPU error lifting (without mitigation)";
-  let fpu_nomit = make_report fpu_analysis (lift_cfg false) in
+  let fpu_nomit = Vega.workflow_of_analysis ~phase2:(lift_cfg false) fpu_analysis in
   log "phase 2: FPU error lifting (with mitigation)";
-  let fpu_mit = make_report fpu_analysis (lift_cfg true) in
+  let fpu_mit = Vega.workflow_of_analysis ~phase2:(lift_cfg true) fpu_analysis in
   { cfg = config; log; alu_analysis; fpu_analysis; alu_nomit; alu_mit; fpu_nomit; fpu_mit }
 
 (* ---------------- Figure 4 ---------------- *)
@@ -422,12 +412,10 @@ let first_detection m (suite : Lift.suite) =
   let rec go i = function
     | [] -> None
     | tc :: rest -> (
-      Machine.reset m;
-      match Machine.run m (Integrate.Runner.case_program tc) with
-      | Machine.Exited code when code = Isa.exit_ok -> go (i + 1) rest
-      | Machine.Exited _ -> Some (i, false)
-      | Machine.Stalled -> Some (i, true)
-      | Machine.Out_of_fuel -> Some (i, true))
+      match Integrate.Runner.run_case m tc with
+      | Ok () -> go (i + 1) rest
+      | Error (Machine.Stalled | Machine.Out_of_fuel) -> Some (i, true)
+      | Error (Machine.Exited _) -> Some (i, false))
   in
   go 0 suite.Lift.suite_cases
 
@@ -813,23 +801,6 @@ let select_campaign_pairs (target : Lift.target) pairs n =
   in
   go [] 0 (Lift.register_pairs target.Lift.netlist pairs)
 
-let campaign_dims (target : Lift.target) =
-  match target.Lift.kind with
-  | Lift.Alu_module { width } ->
-    (width, if width >= 16 then Fpu_format.binary16 else Fpu_format.tiny)
-  | Lift.Fpu_module { fmt } -> (max 16 (Fpu_format.width fmt), fmt)
-
-let campaign_machine (target : Lift.target) seed =
-  let width, fmt = campaign_dims target in
-  let config = { Machine.default_config with Machine.width; fmt; rng_seed = seed } in
-  match target.Lift.kind with
-  | Lift.Alu_module _ ->
-    Machine.create ~config ~alu:(Machine.Alu_netlist target.Lift.netlist)
-      ~fpu:Machine.Fpu_functional ()
-  | Lift.Fpu_module _ ->
-    Machine.create ~config ~alu:Machine.Alu_functional
-      ~fpu:(Machine.Fpu_netlist target.Lift.netlist) ()
-
 (* One value of a campaign memoised in shard 0 of its checkpoint: restored
    when present (a decode failure is a miss, recomputed and overwritten),
    else computed and stored. *)
@@ -875,7 +846,8 @@ let inject_faults ~label ~log ?checkpoint ~uname ~(target : Lift.target) ~seed ~
     (Printf.sprintf "%s: %s — %d fault specs, %d-case guard suite" label uname
        (List.length selected * List.length constants)
        (List.length suite.Lift.suite_cases));
-  let width, fmt = campaign_dims target in
+  let config = { (Vega.unit_config target.Lift.kind) with Machine.rng_seed = seed } in
+  let width = config.Machine.width and fmt = config.Machine.fmt in
   let slot =
     match target.Lift.kind with
     | Lift.Alu_module _ -> Guard.Injector.Alu_slot
@@ -884,11 +856,7 @@ let inject_faults ~label ~log ?checkpoint ~uname ~(target : Lift.target) ~seed ~
   let golden (b : Workload.benchmark) =
     let prog = Minic.assemble (Minic.compile ~width ~fmt b.Workload.program) in
     (* functional machine, fault-free by construction *)
-    let m =
-      Machine.create
-        ~config:{ Machine.default_config with Machine.width; fmt; rng_seed = seed }
-        ~alu:Machine.Alu_functional ~fpu:Machine.Fpu_functional ()
-    in
+    let m = Machine.create ~config ~alu:Machine.Alu_functional ~fpu:Machine.Fpu_functional () in
     Machine.reset m;
     (match Machine.run ~max_instructions m prog with
     | Machine.Exited code when code = Isa.exit_ok -> ()
@@ -910,7 +878,7 @@ let inject_faults ~label ~log ?checkpoint ~uname ~(target : Lift.target) ~seed ~
   let run_item ((kernel, prog, golden_sum, onset, fuel), spec) =
     let fresh () =
       Telemetry.with_span ~cat:"experiments" "campaign.machine" @@ fun () ->
-      let m = campaign_machine target seed in
+      let m = Vega.machine_for ~rng_seed:seed target in
       Machine.reset m;
       (m, Guard.Injector.create ~machine:m ~slot ~spec (Guard.Injector.permanent onset))
     in

@@ -231,14 +231,11 @@ module Monitor = struct
     let rec go = function
       | [] -> Ok ()
       | (tc : Lift.test_case) :: rest -> (
-        Machine.reset m;
-        let outcome = Machine.run m (Integrate.Runner.case_program tc) in
+        let verdict = Integrate.Runner.run_case m tc in
         spent := !spent + Machine.cycles m;
-        match outcome with
-        | Machine.Exited code when code = Isa.exit_ok -> go rest
-        | Machine.Exited _ -> Error tc.Lift.tc_id
-        | Machine.Stalled -> Error (tc.Lift.tc_id ^ " (stall)")
-        | Machine.Out_of_fuel -> Error (tc.Lift.tc_id ^ " (no progress)"))
+        match verdict with
+        | Ok () -> go rest
+        | Error o -> Error (Integrate.Runner.detection_id tc o))
     in
     let result = go cases in
     Machine.restore m snap;

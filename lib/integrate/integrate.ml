@@ -235,13 +235,18 @@ module Runner = struct
       Machine.restore m snap;
       result
 
-  let run_case m (tc : Lift.test_case) =
+  let run_case m tc =
     Machine.reset m;
     match Machine.run m (case_program tc) with
     | Machine.Exited code when code = Isa.exit_ok -> Ok ()
-    | Machine.Exited _ -> Error tc.Lift.tc_id
-    | Machine.Stalled -> Error (tc.Lift.tc_id ^ " (stall)")
-    | Machine.Out_of_fuel -> Error (tc.Lift.tc_id ^ " (no progress)")
+    | o -> Error o
+
+  let detection_id (tc : Lift.test_case) = function
+    | Machine.Stalled -> tc.Lift.tc_id ^ " (stall)"
+    | Machine.Out_of_fuel -> tc.Lift.tc_id ^ " (no progress)"
+    | Machine.Exited _ -> tc.Lift.tc_id
+
+  let run_detecting m tc = Result.map_error (detection_id tc) (run_case m tc)
 
   let run_tests m suite strategy =
     let cases =
@@ -252,7 +257,7 @@ module Runner = struct
     preserving_state m (fun () ->
         let rec go = function
           | [] -> Ok ()
-          | tc :: rest -> ( match run_case m tc with Ok () -> go rest | Error _ as e -> e)
+          | tc :: rest -> ( match run_detecting m tc with Ok () -> go rest | Error _ as e -> e)
         in
         go cases)
 
@@ -262,7 +267,7 @@ module Runner = struct
     | cases ->
       let n = List.length cases in
       let tc = List.nth cases (((index mod n) + n) mod n) in
-      preserving_state m (fun () -> run_case m tc)
+      preserving_state m (fun () -> run_detecting m tc)
 
   let run_tests_exn m suite strategy =
     match run_tests m suite strategy with

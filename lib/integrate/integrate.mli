@@ -81,9 +81,19 @@ module Runner : sig
   exception Sdc_detected of string
   (** Argument is the detecting test case's id. *)
 
-  val case_program : Lift.test_case -> Isa.program
-  (** The standalone program for one test case: the case's instructions,
-      [ecall exit_ok] on pass, [ecall exit_sdc] at the fail label. *)
+  val run_case : Machine.t -> Lift.test_case -> (unit, Machine.outcome) result
+  (** The one verdict of a test case, shared by every suite driver here,
+      the guard's test excursions and the detection tables: reset the
+      machine, run the case's standalone program (its instructions,
+      [ecall exit_ok] on pass, [ecall exit_sdc] at the fail label) and
+      pass on [exit_ok].  Any other outcome is a detection: another exit
+      code is a caught SDC, [Stalled] or [Out_of_fuel] a stalled CPU.
+      Neither snapshots nor restores the machine. *)
+
+  val detection_id : Lift.test_case -> Machine.outcome -> string
+  (** The id reported for a detection: the case's id, suffixed
+      [" (stall)"] for [Stalled] and [" (no progress)"] for
+      [Out_of_fuel]. *)
 
   val run_tests : Machine.t -> Lift.suite -> strategy -> (unit, string) result
   (** Execute the suite case by case on the machine; [Error id] identifies

@@ -34,16 +34,19 @@ let tele_spbound_safe = Telemetry.Counter.make "vega.spbound.safe"
 let tele_spbound_critical = Telemetry.Counter.make "vega.spbound.critical"
 let tele_spbound_unknown = Telemetry.Counter.make "vega.spbound.unknown"
 
-let unit_config (target : Lift.target) =
-  match target.Lift.kind with
+let unit_config (kind : Lift.module_kind) =
+  match kind with
   | Lift.Alu_module { width } ->
+    (* machine word width must equal the ALU width so that the golden
+       expectations baked into the cases line up *)
     let fmt = if width >= 16 then Fpu_format.binary16 else Fpu_format.tiny in
     { Machine.default_config with Machine.width; fmt }
   | Lift.Fpu_module { fmt } ->
     { Machine.default_config with Machine.width = max 16 (Fpu_format.width fmt); fmt }
 
-let machine_for ?(profile_units = false) (target : Lift.target) =
-  let config = unit_config target in
+let machine_for ?(profile_units = false) ?rng_seed (target : Lift.target) =
+  let config = unit_config target.Lift.kind in
+  let config = Option.fold rng_seed ~none:config ~some:(fun rng_seed -> { config with Machine.rng_seed }) in
   match target.Lift.kind with
   | Lift.Alu_module _ ->
     Machine.create ~config ~profile_units
@@ -122,7 +125,7 @@ let record_unit_ops (target : Lift.target) ~workload emit =
             [| Bitvec.create ~width:3 (Fpu_format.op_code op); a; b; Bitvec.create ~width:1 1 |] )
   in
   let m =
-    Machine.create ~config:(unit_config target) ~on_alu_op ~on_fpu_op ~alu:Machine.Alu_functional
+    Machine.create ~config:(unit_config target.Lift.kind) ~on_alu_op ~on_fpu_op ~alu:Machine.Alu_functional
       ~fpu:Machine.Fpu_functional ()
   in
   workload m
@@ -404,18 +407,9 @@ type workflow_report = {
 let suite_cycles (suite : Lift.suite) =
   if suite.Lift.suite_cases = [] then 0
   else begin
-    let width, fmt =
-      match suite.Lift.suite_target with
-      | Lift.Alu_module { width } ->
-        (* machine word width must equal the ALU width so that the golden
-           expectations baked into the cases line up *)
-        (width, if width >= 16 then Fpu_format.binary16 else Fpu_format.tiny)
-      | Lift.Fpu_module { fmt } -> (max 16 (Fpu_format.width fmt), fmt)
-    in
     let m =
-      Machine.create
-        ~config:{ Machine.default_config with Machine.width; fmt }
-        ~alu:Machine.Alu_functional ~fpu:Machine.Fpu_functional ()
+      Machine.create ~config:(unit_config suite.Lift.suite_target) ~alu:Machine.Alu_functional
+        ~fpu:Machine.Fpu_functional ()
     in
     Machine.reset m;
     match Machine.run m (Lift.suite_program suite) with
@@ -426,11 +420,13 @@ let suite_cycles (suite : Lift.suite) =
            o)
   end
 
-let run_workflow ?phase1 ?phase2 target ~workload =
-  let analysis = aging_analysis ?config:phase1 target ~workload in
+let workflow_of_analysis ?phase2 analysis =
   let pair_results = error_lifting ?config:phase2 analysis in
-  let suite = Lift.suite_of_results target.Lift.kind pair_results in
+  let suite = Lift.suite_of_results analysis.target.Lift.kind pair_results in
   { analysis; pair_results; suite; suite_cycles = suite_cycles suite }
+
+let run_workflow ?phase1 ?phase2 target ~workload =
+  workflow_of_analysis ?phase2 (aging_analysis ?config:phase1 target ~workload)
 
 let classification_counts results =
   List.map

@@ -194,12 +194,25 @@ val run_workflow :
   Lift.target ->
   workload:(Machine.t -> unit) ->
   workflow_report
-(** Phases one and two plus suite assembly and timing.  Phase three is
-    application-specific: feed [report.suite] to {!Integrate}. *)
+(** Phases one and two plus suite assembly and timing: {!aging_analysis}
+    then {!workflow_of_analysis}.  Phase three is application-specific:
+    feed [report.suite] to {!Integrate}. *)
 
-val machine_for : ?profile_units:bool -> Lift.target -> Machine.t
+val workflow_of_analysis : ?phase2:Lift.config -> analysis -> workflow_report
+(** The phase-2 half of {!run_workflow} on an existing phase-1 analysis:
+    {!error_lifting}, the suite of its results and {!suite_cycles}.  One
+    analysis can feed several phase-2 configurations. *)
+
+val unit_config : Lift.module_kind -> Machine.config
+(** The machine configuration for a unit: an ALU's word width is its own
+    (binary16 FP format from 16 bits up, else the tiny one); an FPU's is
+    at least 16 bits with the unit's format.  Every machine that runs a
+    unit or its suite is configured here. *)
+
+val machine_for : ?profile_units:bool -> ?rng_seed:int -> Lift.target -> Machine.t
 (** A machine whose analyzed unit is the target's netlist (other unit
-    functional), with a config matching the target's width/format. *)
+    functional), configured by {!unit_config}; [rng_seed] (default
+    {!Machine.default_config}'s) drives C_random failing netlists. *)
 
 val suite_cycles : Lift.suite -> int
 (** Cycle count of one sequential execution of the suite on a healthy

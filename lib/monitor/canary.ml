@@ -41,7 +41,7 @@ type canary = {
   cn_start : string;
   cn_end : string;
   cn_cells : int;
-  cn_aged_delay_ps : float;
+  cn_arrival_ps : float;
   cn_slack_ps : float;
 }
 
@@ -182,7 +182,7 @@ let insert nl paths =
         cn_start = start_cell.Netlist.name;
         cn_end = end_cell.Netlist.name;
         cn_cells = List.length p.Sta.through;
-        cn_aged_delay_ps = p.Sta.delay_ps;
+        cn_arrival_ps = p.Sta.delay_ps;
         cn_slack_ps = p.Sta.slack_ps;
       } )
   in
@@ -197,8 +197,8 @@ let describe canaries =
   String.concat ""
     (List.map
        (fun c ->
-         Printf.sprintf "canary %d: %s -> %s, %d replica cells, aged %.1f ps (slack %.1f ps)\n"
-           c.cn_index c.cn_start c.cn_end c.cn_cells c.cn_aged_delay_ps c.cn_slack_ps)
+         Printf.sprintf "canary %d: %s -> %s, %d replica cells, arrival %.1f ps (slack %.1f ps)\n"
+           c.cn_index c.cn_start c.cn_end c.cn_cells c.cn_arrival_ps c.cn_slack_ps)
        canaries)
 
 (* ---- verification gate ---- *)

@@ -24,7 +24,9 @@ type canary = {
   cn_start : string;  (** launching DFF instance of the monitored path *)
   cn_end : string;  (** capturing DFF instance of the monitored path *)
   cn_cells : int;  (** replica chain length (combinational cells copied) *)
-  cn_aged_delay_ps : float;  (** pessimistically-aged arrival of the path *)
+  cn_arrival_ps : float;
+      (** arrival of the path under the planning timing, before the
+          pessimism scaling (see {!plan}) *)
   cn_slack_ps : float;  (** slack of the path under the pessimistic corner *)
 }
 
@@ -65,10 +67,12 @@ val plan :
   Sta.path list
 (** Select up to [count] (default 2) register-launched setup paths to
     monitor, worst-slack first with distinct capturing endpoints.  A path
-    qualifies when its arrival under [timing] — typically the phase-1
-    aged corner — scaled by [pessimism] (default 1.25, the canary's
-    built-in guardband) exceeds [clock_period_ps]; equivalently the
-    analysis runs at [clock_period_ps /. pessimism].  Empty when the
+    qualifies when its arrival under [timing] scaled by [pessimism]
+    (default 1.25, the canary's built-in guardband) exceeds
+    [clock_period_ps]; equivalently the analysis runs at
+    [clock_period_ps /. pessimism].  The attack campaign plans at its
+    aged corner; [vega monitors] plans at the fresh phase-1 corner, so
+    [pessimism] alone stands in for the aging there.  Empty when the
     design clears even the pessimistic corner. *)
 
 val insert : Netlist.t -> Sta.path list -> Netlist.t * canary list

@@ -830,21 +830,22 @@ let run_attack_bench () =
   in
   let fopt = function None -> Json.Null | Some f -> Json.Float f in
   let iopt = function None -> Json.Null | Some i -> Json.Int i in
+  let c = report.Experiments.ap_corner in
   let json =
     Json.Obj
       [
         ("schema", Json.String "vega-bench-attack/1");
         ("width", Json.Int config.Experiments.ak_width);
-        ("target_cells", Json.Int (List.length report.Experiments.ap_cells));
-        ("baseline_duty", Json.Float report.Experiments.ap_baseline_obj);
-        ("attacked_duty", Json.Float report.Experiments.ap_attacked_obj);
-        ("search_evals", Json.Int report.Experiments.ap_evals);
-        ("sat_patterns", Json.Int report.Experiments.ap_sat_patterns);
-        ("fresh_crit_ps", Json.Float report.Experiments.ap_fresh_crit_ps);
-        ("clock_period_ps", Json.Float report.Experiments.ap_clock_period_ps);
-        ("ttv_nominal_years", fopt report.Experiments.ap_ttv_nominal);
-        ("ttv_attack_years", fopt report.Experiments.ap_ttv_attack);
-        ("acceleration", fopt report.Experiments.ap_acceleration);
+        ("target_cells", Json.Int (List.length c.Experiments.ac_cells));
+        ("baseline_duty", Json.Float c.Experiments.ac_baseline_obj);
+        ("attacked_duty", Json.Float c.Experiments.ac_attacked_obj);
+        ("search_evals", Json.Int c.Experiments.ac_evals);
+        ("sat_patterns", Json.Int c.Experiments.ac_sat_patterns);
+        ("fresh_crit_ps", Json.Float c.Experiments.ac_fresh_crit_ps);
+        ("clock_period_ps", Json.Float c.Experiments.ac_clock_period_ps);
+        ("ttv_nominal_years", fopt c.Experiments.ac_ttv_nominal);
+        ("ttv_attack_years", fopt c.Experiments.ac_ttv_attack);
+        ("acceleration", fopt c.Experiments.ac_acceleration);
         ("canaries", Json.Int (List.length report.Experiments.ap_canaries));
         ("canary_latency_instrs", iopt (latency_of "sw+canary"));
         ("sw_latency_instrs", iopt (latency_of "sw-only"));

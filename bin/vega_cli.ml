@@ -924,7 +924,8 @@ let attack_cmd =
         (Experiments.render_attack_campaign ~years_max:config.Experiments.ak_years_max report);
       let s = Experiments.attack_summary report.Experiments.ap_rows in
       let accelerated =
-        match (report.Experiments.ap_ttv_attack, report.Experiments.ap_acceleration) with
+        let c = report.Experiments.ap_corner in
+        match (c.Experiments.ac_ttv_attack, c.Experiments.ac_acceleration) with
         | None, _ -> false (* the attack never reached a violating corner *)
         | Some _, Some a -> a > 1.0
         | Some _, None -> true (* nominal corner clean at the horizon *)

@@ -1305,17 +1305,7 @@ let attack_corner_of_json j =
     }
 
 type attack_report = {
-  ap_cells : Attack.cell_stress list;
-  ap_baseline_obj : float;
-  ap_attacked_obj : float;
-  ap_evals : int;
-  ap_sat_patterns : int;
-  ap_samples : int;
-  ap_fresh_crit_ps : float;
-  ap_clock_period_ps : float;
-  ap_ttv_nominal : float option;
-  ap_ttv_attack : float option;
-  ap_acceleration : float option;
+  ap_corner : attack_corner;
   ap_canaries : Canary.canary list;
   ap_rows : campaign_row list;
 }
@@ -1421,21 +1411,7 @@ let attack_campaign ?(config = quick_attack_campaign) ?netlist ?(log = fun _ -> 
       ~modes:[ ("sw-only", guard None); ("sw+canary", guard (Some config.ak_canary_poll)) ]
       ()
   in
-  {
-    ap_cells = corner.ac_cells;
-    ap_baseline_obj = corner.ac_baseline_obj;
-    ap_attacked_obj = corner.ac_attacked_obj;
-    ap_evals = corner.ac_evals;
-    ap_sat_patterns = corner.ac_sat_patterns;
-    ap_samples = corner.ac_samples;
-    ap_fresh_crit_ps = corner.ac_fresh_crit_ps;
-    ap_clock_period_ps = corner.ac_clock_period_ps;
-    ap_ttv_nominal = corner.ac_ttv_nominal;
-    ap_ttv_attack = corner.ac_ttv_attack;
-    ap_acceleration = corner.ac_acceleration;
-    ap_canaries = canaries;
-    ap_rows = rows;
-  }
+  { ap_corner = corner; ap_canaries = canaries; ap_rows = rows }
 
 type attack_summary = {
   as_unguarded_rows : int;
@@ -1493,22 +1469,23 @@ let render_ttv years_max = function
   | Some y -> Printf.sprintf "%.2f y" y
 
 let render_attack_campaign ?(years_max = default_attack_campaign.ak_years_max) report =
+  let c = report.ap_corner in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "Adversarial wearout campaign (ALU)\n";
   Buffer.add_string buf
     (Printf.sprintf
        "  attack: %d target cell(s), stress duty %.4f -> %.4f (%d evals, %d SAT patterns, %d \
         samples)\n"
-       (List.length report.ap_cells) report.ap_baseline_obj report.ap_attacked_obj
-       report.ap_evals report.ap_sat_patterns report.ap_samples);
+       (List.length c.ac_cells) c.ac_baseline_obj c.ac_attacked_obj
+       c.ac_evals c.ac_sat_patterns c.ac_samples);
   Buffer.add_string buf
     (Printf.sprintf "  corner: fresh critical path %.1f ps, guard clock %.1f ps\n"
-       report.ap_fresh_crit_ps report.ap_clock_period_ps);
+       c.ac_fresh_crit_ps c.ac_clock_period_ps);
   Buffer.add_string buf
     (Printf.sprintf "  time-to-first-violation: nominal %s, attacked %s, acceleration %s\n"
-       (render_ttv years_max report.ap_ttv_nominal)
-       (render_ttv years_max report.ap_ttv_attack)
-       (match report.ap_acceleration with
+       (render_ttv years_max c.ac_ttv_nominal)
+       (render_ttv years_max c.ac_ttv_attack)
+       (match c.ac_acceleration with
        | None -> "-"
        | Some a -> Printf.sprintf "%.2fx" a));
   Buffer.add_string buf

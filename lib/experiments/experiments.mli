@@ -317,21 +317,28 @@ val attack_campaign_digest : ?netlist:Netlist.t -> attack_campaign_config -> str
     {!Repair}-hardened ALU) when given — any change invalidates a
     resume. *)
 
-type attack_report = {
-  ap_cells : Attack.cell_stress list;  (** per-victim SP shift *)
-  ap_baseline_obj : float;  (** stress-duty objective, random baseline *)
-  ap_attacked_obj : float;  (** stress-duty objective, winning stream *)
-  ap_evals : int;
-  ap_sat_patterns : int;
-  ap_samples : int;
-  ap_fresh_crit_ps : float;
-  ap_clock_period_ps : float;
+type attack_corner = {
+  ac_ops : (string * Bitvec.t) list array;  (** the winning attack stream *)
+  ac_cells : Attack.cell_stress list;  (** per-victim SP shift *)
+  ac_baseline_obj : float;  (** stress-duty objective, random baseline *)
+  ac_attacked_obj : float;  (** stress-duty objective, winning stream *)
+  ac_evals : int;
+  ac_sat_patterns : int;
+  ac_samples : int;
+  ac_fresh_crit_ps : float;
+  ac_clock_period_ps : float;
       (** guard clock: halfway between the fresh critical path and the
           fully-attacked arrival, so fresh timing closes and the attacked
           corner violates within the horizon *)
-  ap_ttv_nominal : float option;  (** [None]: clean at the horizon *)
-  ap_ttv_attack : float option;
-  ap_acceleration : float option;  (** ttv nominal / ttv attack *)
+  ac_ttv_nominal : float option;  (** [None]: clean at the horizon *)
+  ac_ttv_attack : float option;
+  ac_acceleration : float option;  (** ttv nominal / ttv attack *)
+}
+(** The attack corner: the stress search and the time-to-violation
+    bisections, checkpointed as one value. *)
+
+type attack_report = {
+  ap_corner : attack_corner;
   ap_canaries : Canary.canary list;
   ap_rows : campaign_row list;  (** [cr_unit] is always ["ALU"] *)
 }

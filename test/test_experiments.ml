@@ -92,13 +92,14 @@ let attack_report = lazy (Experiments.attack_campaign ~config:quick_attack ())
 
 let test_attack_campaign () =
   let report = Lazy.force attack_report in
+  let c = report.Experiments.ap_corner in
   (* the headline: the attacked corner violates strictly earlier *)
-  (match (report.Experiments.ap_ttv_attack, report.Experiments.ap_acceleration) with
+  (match (c.Experiments.ac_ttv_attack, c.Experiments.ac_acceleration) with
   | None, _ -> Alcotest.fail "attack corner never reaches a violating corner"
   | Some _, Some a -> Alcotest.(check bool) "acceleration factor > 1" true (a > 1.0)
   | Some _, None -> () (* nominal clean at the horizon: unbounded acceleration *));
   Alcotest.(check bool) "attacked duty above baseline" true
-    (report.Experiments.ap_attacked_obj >= report.Experiments.ap_baseline_obj);
+    (c.Experiments.ac_attacked_obj >= c.Experiments.ac_baseline_obj);
   Alcotest.(check bool) "canaries inserted" true (report.Experiments.ap_canaries <> []);
   let s = Experiments.attack_summary report.Experiments.ap_rows in
   Alcotest.(check bool) "one row per mode and pair" true

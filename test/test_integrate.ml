@@ -216,6 +216,51 @@ let test_runner_detects_and_raises () =
   | () -> Alcotest.fail "expected exception"
   | exception Integrate.Runner.Sdc_detected _ -> ()
 
+(* The one case verdict: pass on exit_ok; an SDC exit, a stall and no
+   progress are detections with their own ids. *)
+let test_runner_case_verdicts () =
+  let tc = List.hd small_suite.Lift.suite_cases in
+  let id = tc.Lift.tc_id in
+  let m = functional16 () in
+  Alcotest.(check bool) "exit ok passes" true (Integrate.Runner.run_case m tc = Ok ());
+  (* a stuck-at-1 result bit makes the healthy expectations fail *)
+  let alu = Alu.netlist ~width:16 () in
+  let stuck =
+    let b = Netlist.Builder.of_netlist alu in
+    let one = Netlist.Builder.add_cell b Cell.Kind.Tie1 [||] in
+    List.iteri
+      (fun bit _ -> Netlist.Builder.rewire_output b ~port:Alu.r_port ~bit one)
+      (Array.to_list (Netlist.find_output alu Alu.r_port).Netlist.port_nets);
+    Netlist.Builder.finish b
+  in
+  let m_sdc = Machine.create ~alu:(Machine.Alu_netlist stuck) ~fpu:Machine.Fpu_functional () in
+  (match Integrate.Runner.run_case m_sdc tc with
+  | Error (Machine.Exited code) -> Alcotest.(check int) "exit sdc" Isa.exit_sdc code
+  | _ -> Alcotest.fail "stuck result not detected as an SDC exit");
+  Alcotest.(check string) "sdc id" id
+    (Integrate.Runner.detection_id tc (Machine.Exited Isa.exit_sdc));
+  (* an FPU whose valid handshake never rises wedges the pipeline *)
+  let fpu = Fpu.netlist () in
+  let wedged =
+    let b = Netlist.Builder.of_netlist fpu in
+    Netlist.Builder.rewire_output b ~port:Fpu.valid_port ~bit:0
+      (Netlist.Builder.add_cell b Cell.Kind.Tie0 [||]);
+    Netlist.Builder.finish b
+  in
+  let fsuite = Testgen.random_fpu_suite ~seed:3 ~fmt:Fpu_format.binary16 ~cases:1 () in
+  let ftc = List.hd fsuite.Lift.suite_cases in
+  let m_stall = Machine.create ~alu:Machine.Alu_functional ~fpu:(Machine.Fpu_netlist wedged) () in
+  Alcotest.(check bool) "stall is a detection" true
+    (Integrate.Runner.run_case m_stall ftc = Error Machine.Stalled);
+  Alcotest.(check string) "stall id" (ftc.Lift.tc_id ^ " (stall)")
+    (Integrate.Runner.detection_id ftc Machine.Stalled);
+  let m_stall = Machine.create ~alu:Machine.Alu_functional ~fpu:(Machine.Fpu_netlist wedged) () in
+  Alcotest.(check bool) "suite reports the stall" true
+    (Integrate.Runner.run_tests m_stall fsuite Integrate.Runner.Sequential
+    = Error (ftc.Lift.tc_id ^ " (stall)"));
+  Alcotest.(check string) "out-of-fuel id" (id ^ " (no progress)")
+    (Integrate.Runner.detection_id tc Machine.Out_of_fuel)
+
 let () =
   Alcotest.run "integrate"
     [
@@ -241,5 +286,6 @@ let () =
           Alcotest.test_case "rotating slice" `Quick test_run_slice_rotation;
           Alcotest.test_case "runner preserves app state" `Quick test_runner_preserves_state;
           Alcotest.test_case "runner detects and raises" `Quick test_runner_detects_and_raises;
+          Alcotest.test_case "case verdicts" `Quick test_runner_case_verdicts;
         ] );
     ]

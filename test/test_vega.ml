@@ -201,6 +201,65 @@ let test_machine_for () =
   let mf = Vega.machine_for (Lift.fpu_target ()) in
   Alcotest.(check int) "fpu machine width" 16 (Machine.config mf).Machine.width
 
+(* The three machine configurations Vega.unit_config replaced, kept
+   verbatim as oracles: the old target-keyed unit_config, the campaign's
+   dims (with its RNG seed) and suite_cycles' own width/format match. *)
+let old_unit_config (target : Lift.target) =
+  match target.Lift.kind with
+  | Lift.Alu_module { width } ->
+    let fmt = if width >= 16 then Fpu_format.binary16 else Fpu_format.tiny in
+    { Machine.default_config with Machine.width; fmt }
+  | Lift.Fpu_module { fmt } ->
+    { Machine.default_config with Machine.width = max 16 (Fpu_format.width fmt); fmt }
+
+let old_campaign_config (target : Lift.target) seed =
+  let width, fmt =
+    match target.Lift.kind with
+    | Lift.Alu_module { width } ->
+      (width, if width >= 16 then Fpu_format.binary16 else Fpu_format.tiny)
+    | Lift.Fpu_module { fmt } -> (max 16 (Fpu_format.width fmt), fmt)
+  in
+  { Machine.default_config with Machine.width; fmt; rng_seed = seed }
+
+let old_suite_config (kind : Lift.module_kind) =
+  let width, fmt =
+    match kind with
+    | Lift.Alu_module { width } ->
+      (width, if width >= 16 then Fpu_format.binary16 else Fpu_format.tiny)
+    | Lift.Fpu_module { fmt } -> (max 16 (Fpu_format.width fmt), fmt)
+  in
+  { Machine.default_config with Machine.width; fmt }
+
+let test_unit_config_oracles () =
+  let targets =
+    List.map (fun width -> (Printf.sprintf "ALU%d" width, Lift.alu_target ~width ())) [ 4; 8; 16; 32 ]
+    @ [
+        ("FPU tiny", Lift.fpu_target ~fmt:Fpu_format.tiny ());
+        ("FPU binary16", Lift.fpu_target ~fmt:Fpu_format.binary16 ());
+      ]
+  in
+  List.iter
+    (fun (name, (target : Lift.target)) ->
+      let cfg = Vega.unit_config target.Lift.kind in
+      let same what a b = Alcotest.(check bool) (name ^ ": " ^ what) true (a = b) in
+      same "unit config" (old_unit_config target) cfg;
+      same "suite config" (old_suite_config target.Lift.kind) cfg;
+      (* a machine exists only where the format fits the word (not ALU4) *)
+      let built config =
+        match Machine.create ~config ~alu:Machine.Alu_functional ~fpu:Machine.Fpu_functional () with
+        | _ -> Some config
+        | exception Invalid_argument _ -> None
+      in
+      let config_of machine =
+        match machine () with m -> Some (Machine.config m) | exception Invalid_argument _ -> None
+      in
+      same "machine_for" (built (old_unit_config target))
+        (config_of (fun () -> Vega.machine_for target));
+      same "campaign machine"
+        (built (old_campaign_config target 42))
+        (config_of (fun () -> Vega.machine_for ~rng_seed:42 target)))
+    targets
+
 (* --- experiment drivers (cheap ones; the full context is exercised by the
    benchmark harness) --- *)
 
@@ -255,6 +314,7 @@ let () =
           Alcotest.test_case "phase-1 hand-off owners" `Quick test_phase1_owners;
           Alcotest.test_case "full workflow" `Quick test_full_workflow;
           Alcotest.test_case "machine_for" `Quick test_machine_for;
+          Alcotest.test_case "unit_config equals its copies" `Quick test_unit_config_oracles;
         ] );
       ( "batched profile",
         [

@@ -114,7 +114,8 @@ let rebuild nl resolve live =
   let net_map = Array.make (Netlist.num_nets nl) (-1) in
   List.iter
     (fun (p : Netlist.port) ->
-      let nets = Netlist.Builder.add_input b p.Netlist.port_name (Array.length p.Netlist.port_nets) in
+      let width = Array.length p.Netlist.port_nets in
+      let nets = Netlist.Builder.add_input b p.Netlist.port_name width in
       Array.iteri (fun i orig -> net_map.(orig) <- nets.(i)) p.Netlist.port_nets)
     (Netlist.inputs nl);
   let ties = ref 0 in
@@ -165,10 +166,13 @@ let rebuild nl resolve live =
   Array.iter
     (fun id ->
       let c = Netlist.cell nl id in
-      let canonical = match resolve c.Netlist.output with Same s -> s = c.Netlist.output | Const _ -> false in
+      let canonical =
+        match resolve c.Netlist.output with Same s -> s = c.Netlist.output | Const _ -> false
+      in
       if live.(id) && canonical then begin
         let inputs = Array.map new_net_of c.Netlist.inputs in
-        net_map.(c.Netlist.output) <- Netlist.Builder.add_cell ~name:c.Netlist.name b c.Netlist.kind inputs
+        net_map.(c.Netlist.output) <-
+          Netlist.Builder.add_cell ~name:c.Netlist.name b c.Netlist.kind inputs
       end)
     (Netlist.topo_order nl);
   List.iter

@@ -34,8 +34,7 @@ let tele_spbound_safe = Telemetry.Counter.make "vega.spbound.safe"
 let tele_spbound_critical = Telemetry.Counter.make "vega.spbound.critical"
 let tele_spbound_unknown = Telemetry.Counter.make "vega.spbound.unknown"
 
-let unit_config (kind : Lift.module_kind) =
-  match kind with
+let unit_config : Lift.module_kind -> Machine.config = function
   | Lift.Alu_module { width } ->
     (* machine word width must equal the ALU width so that the golden
        expectations baked into the cases line up *)
@@ -46,7 +45,9 @@ let unit_config (kind : Lift.module_kind) =
 
 let machine_for ?(profile_units = false) ?rng_seed (target : Lift.target) =
   let config = unit_config target.Lift.kind in
-  let config = Option.fold rng_seed ~none:config ~some:(fun rng_seed -> { config with Machine.rng_seed }) in
+  let config =
+    Option.fold rng_seed ~none:config ~some:(fun rng_seed -> { config with Machine.rng_seed })
+  in
   match target.Lift.kind with
   | Lift.Alu_module _ ->
     Machine.create ~config ~profile_units
@@ -125,8 +126,8 @@ let record_unit_ops (target : Lift.target) ~workload emit =
             [| Bitvec.create ~width:3 (Fpu_format.op_code op); a; b; Bitvec.create ~width:1 1 |] )
   in
   let m =
-    Machine.create ~config:(unit_config target.Lift.kind) ~on_alu_op ~on_fpu_op ~alu:Machine.Alu_functional
-      ~fpu:Machine.Fpu_functional ()
+    Machine.create ~config:(unit_config target.Lift.kind) ~on_alu_op ~on_fpu_op
+      ~alu:Machine.Alu_functional ~fpu:Machine.Fpu_functional ()
   in
   workload m
 

@@ -224,7 +224,10 @@ let test_fold_matches_oracle () =
   (* every kind over every input tuple from {0, 1, x, y}: 174 cases *)
   let alphabet = [ Cconst false; Cconst true; Cnet 0; Cnet 1 ] in
   let to_value = function Cconst b -> Netlist_opt.Const b | Cnet n -> Netlist_opt.Same n in
-  let rec tuples k = if k = 0 then [ [] ] else List.concat_map (fun v -> List.map (fun t -> v :: t) (tuples (k - 1))) alphabet in
+  let rec tuples k =
+    if k = 0 then [ [] ]
+    else List.concat_map (fun v -> List.map (fun t -> v :: t) (tuples (k - 1))) alphabet
+  in
   let cases = ref 0 in
   List.iter
     (fun kind ->
@@ -397,10 +400,13 @@ let random_netlist rng =
   let b = B.create "rnd" in
   let pool = ref [] in
   for i = 0 to Random.State.int rng 4 - 1 do
-    pool := Array.to_list (B.add_input b (Printf.sprintf "in%d" i) (1 + Random.State.int rng 3)) @ !pool
+    let port = B.add_input b (Printf.sprintf "in%d" i) (1 + Random.State.int rng 3) in
+    pool := Array.to_list port @ !pool
   done;
   pool := B.add_cell b Cell.Kind.Tie0 [||] :: B.add_cell b Cell.Kind.Tie1 [||] :: !pool;
   let pick () = List.nth !pool (Random.State.int rng (List.length !pool)) in
+  let comb_kinds = List.filter (fun k -> not (Cell.Kind.is_sequential k)) Cell.Kind.all in
+  let comb_kinds = Array.of_list comb_kinds in
   let dffs = ref [] in
   for _ = 1 to 4 + Random.State.int rng 24 do
     let out =
@@ -413,18 +419,20 @@ let random_netlist rng =
         dffs := id :: !dffs;
         q
       | _ ->
-        let kinds = Array.of_list (List.filter (fun k -> not (Cell.Kind.is_sequential k)) Cell.Kind.all) in
-        let k = kinds.(Random.State.int rng (Array.length kinds)) in
+        let k = comb_kinds.(Random.State.int rng (Array.length comb_kinds)) in
         B.add_cell b k (Array.init (Cell.Kind.arity k) (fun _ -> pick ()))
     in
     pool := out :: !pool
   done;
   (* feedback: some registers re-read later logic *)
-  List.iter (fun id -> if Random.State.bool rng then B.rewire_input b ~cell_id:id ~pin:0 (pick ())) !dffs;
+  List.iter
+    (fun id -> if Random.State.bool rng then B.rewire_input b ~cell_id:id ~pin:0 (pick ()))
+    !dffs;
   if Random.State.int rng 3 = 0 then B.add_output b "all" (Array.of_list !pool)
   else
     for i = 0 to Random.State.int rng 3 do
-      B.add_output b (Printf.sprintf "out%d" i) (Array.init (1 + Random.State.int rng 3) (fun _ -> pick ()))
+      let width = 1 + Random.State.int rng 3 in
+      B.add_output b (Printf.sprintf "out%d" i) (Array.init width (fun _ -> pick ()))
     done;
   B.finish b
 

@@ -232,7 +232,9 @@ let old_suite_config (kind : Lift.module_kind) =
 
 let test_unit_config_oracles () =
   let targets =
-    List.map (fun width -> (Printf.sprintf "ALU%d" width, Lift.alu_target ~width ())) [ 4; 8; 16; 32 ]
+    List.map
+      (fun width -> (Printf.sprintf "ALU%d" width, Lift.alu_target ~width ()))
+      [ 4; 8; 16; 32 ]
     @ [
         ("FPU tiny", Lift.fpu_target ~fmt:Fpu_format.tiny ());
         ("FPU binary16", Lift.fpu_target ~fmt:Fpu_format.binary16 ());

@@ -643,6 +643,7 @@ let timing_of st nl =
     ~sp_of_net:(sp_view st.sp nl) ~years:st.years st.aglib
 
 let pair_path st nl (s, e, c) =
+  Telemetry.with_span ~cat:"repair" "repair.pair_path" @@ fun () ->
   Sta.pair_path ~timing:(timing_of st nl) ~clock_period_ps:st.clock_period_ps nl s e c
 
 (* Time [nl] in full, or from [parent]'s table when [nl] is a candidate
@@ -872,7 +873,10 @@ type accepted = {
 
 let evaluate st pair slack_before edit =
   try
-    let cand, assigns = apply_edit (sp_view st.sp st.nl) st.nl ~seq:st.seq edit in
+    let cand, assigns =
+      Telemetry.with_span ~cat:"repair" "repair.edit" (fun () ->
+          apply_edit (sp_view st.sp st.nl) st.nl ~seq:st.seq edit)
+    in
     List.iter (fun (n, s) -> Hashtbl.replace st.sp.sp_cell n s) assigns;
     let cleanup () = List.iter (fun (n, _) -> Hashtbl.remove st.sp.sp_cell n) assigns in
     (try
@@ -900,8 +904,12 @@ let evaluate st pair slack_before edit =
        if area' > st.area0 *. (1.0 +. st.cfg.rp_max_area_frac) then
          rejectf "area budget exceeded (%.1f -> %.1f um2)" st.area0 area';
        (* gate 4: the swept candidate must not introduce a lint code *)
-       let swept = Netlist_opt.sweep cand in
-       let diags = Check.lint_netlist swept in
+       let swept =
+         Telemetry.with_span ~cat:"repair" "repair.sweep" (fun () -> Netlist_opt.sweep cand)
+       in
+       let diags =
+         Telemetry.with_span ~cat:"repair" "repair.lint" (fun () -> Check.lint_netlist swept)
+       in
        (match Check.errors diags with
        | [] -> ()
        | d :: _ -> rejectf "lint error %s" (Check.code_id d.Check.code));
@@ -1021,7 +1029,10 @@ let replay_pair st pkey edits_json =
         | Json.String "cec" -> Verified_cec
         | v -> Verified_bound (jok (Json.to_float v))
       in
-      let cand, assigns = apply_edit (sp_view st.sp st.nl) st.nl ~seq:st.seq edit in
+      let cand, assigns =
+      Telemetry.with_span ~cat:"repair" "repair.edit" (fun () ->
+          apply_edit (sp_view st.sp st.nl) st.nl ~seq:st.seq edit)
+    in
       List.iter (fun (n, s) -> Hashtbl.replace st.sp.sp_cell n s) assigns;
       st.nl <- cand;
       st.ledger <-

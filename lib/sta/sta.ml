@@ -347,8 +347,7 @@ let critical_path_ps ~timing nl =
    from every net to the endpoint's D pin, from which each launching
    register's worst arrival follows directly.  Unlike path enumeration this
    is immune to path-count explosion. *)
-let endpoint_pairs ?(constrain_inputs = false) ?(skip = fun _ _ _ -> false) ~timing
-    ~clock_period_ps nl =
+let sweep ?(constrain_inputs = false) ?(skip = fun _ _ _ -> false) ~timing ~clock_period_ps nl =
   let k = kernel timing nl in
   let results = ref [] in
   let for_check chk =
@@ -383,6 +382,10 @@ let endpoint_pairs ?(constrain_inputs = false) ?(skip = fun _ _ _ -> false) ~tim
   for_check Setup;
   for_check Hold;
   List.rev !results
+
+let endpoint_pairs ?constrain_inputs ?skip ~timing ~clock_period_ps nl =
+  Telemetry.with_span ~cat:"sta" "sta.pairs" (fun () ->
+      sweep ?constrain_inputs ?skip ~timing ~clock_period_ps nl)
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -464,12 +467,14 @@ let retime_pairs ?(on_retime = fun ~retimed:_ ~total:_ -> ()) ~parent:(nl0, timi
     ~timing ~clock_period_ps nl =
   let eps = Netlist.dffs nl in
   let total = List.length eps in
+  let pairs ?skip retimed =
+    on_retime ~retimed ~total;
+    Telemetry.with_span ~cat:"sta" ~args:[ ("endpoints_retimed", Telemetry.Int retimed) ]
+      "sta.pairs" (fun () -> sweep ?skip ~timing ~clock_period_ps nl)
+  in
   match affected_endpoints ~nl0 ~timing0 ~timing nl with
-  | None ->
-    on_retime ~retimed:total ~total;
-    endpoint_pairs ~timing ~clock_period_ps nl
+  | None -> pairs total
   | Some affected ->
-    on_retime ~retimed:(List.length (List.filter (fun e -> affected.(e)) eps)) ~total;
     (* bucket both lists by (check, endpoint), keeping each bucket's
        order, then emit the buckets in [endpoint_pairs] order *)
     let n = Netlist.num_cells nl in
@@ -481,7 +486,7 @@ let retime_pairs ?(on_retime = fun ~retimed:_ ~total:_ -> ()) ~parent:(nl0, timi
     in
     let parent = blocks pairs0 in
     let skip _ (At_dff e) _ = not affected.(e) in
-    let fresh = blocks (endpoint_pairs ~skip ~timing ~clock_period_ps nl) in
+    let fresh = blocks (pairs ~skip (List.length (List.filter (fun e -> affected.(e)) eps))) in
     List.concat_map
       (fun chk ->
         List.concat_map
@@ -501,6 +506,7 @@ let violating_pairs ?constrain_inputs ?skip ~timing ~clock_period_ps nl =
    cone. *)
 let pair_path ?(constrain_inputs = false) ~timing ~clock_period_ps nl start
     (At_dff ep_id) chk =
+  Telemetry.with_span ~cat:"sta" "sta.pair_path" @@ fun () ->
   let k = kernel timing nl in
   let cells = k.cells in
   let d_net = cells.(ep_id).inputs.(0) in

@@ -243,15 +243,18 @@ let end_span ?(args = []) () =
       | parent :: _ -> parent.f_children <- sp :: parent.f_children)
   end
 
-let with_span ?cat name f =
-  begin_span ?cat name;
-  match f () with
-  | v ->
-    end_span ();
-    v
-  | exception e ->
-    end_span ~args:[ ("exception", Str (Printexc.to_string e)) ] ();
-    raise e
+let with_span ?cat ?args name f =
+  if not !enabled_flag then f ()
+  else begin
+    begin_span ?cat name;
+    match f () with
+    | v ->
+      end_span ?args ();
+      v
+    | exception e ->
+      end_span ~args:[ ("exception", Str (Printexc.to_string e)) ] ();
+      raise e
+  end
 
 (* ---- cross-domain span transfer ---- *)
 

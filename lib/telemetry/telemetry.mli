@@ -88,9 +88,10 @@ val end_span : ?args:(string * value) list -> unit -> unit
 (** Close the innermost open span, attaching [args].  A stray end (no
     open span) is ignored.  No-op when disabled. *)
 
-val with_span : ?cat:string -> string -> (unit -> 'a) -> 'a
-(** [with_span name f] runs [f] inside a span; the span is closed even
-    when [f] raises. *)
+val with_span : ?cat:string -> ?args:(string * value) list -> string -> (unit -> 'a) -> 'a
+(** [with_span name f] runs [f] inside a span, closed with [args] when [f]
+    returns and even when it raises.  When disabled it costs one flag
+    check before calling [f]. *)
 
 val span_depth : unit -> int
 (** Number of currently open spans in the calling domain. *)

@@ -408,6 +408,47 @@ let test_sim64_zero_allocation_overhead () =
   Alcotest.(check (float 0.0))
     "enabled simc run allocates exactly as much as disabled" c_disabled1 c_enabled
 
+(* A span costs one flag check when the sink is off: a disabled
+   [with_span] allocates nothing, and the pair-STA entry points record
+   nothing.  Enabled, each call is one span, and the re-timing path names
+   the endpoints it re-timed. *)
+let static_body () = 7
+
+let test_disabled_span_is_one_check () =
+  Telemetry.disable ();
+  ignore (Telemetry.with_span ~cat:"sta" "sta.pairs" static_body);
+  let before = Gc.minor_words () in
+  let v = Telemetry.with_span ~cat:"sta" "sta.pairs" static_body in
+  Alcotest.(check (float 0.0)) "disabled with_span allocates nothing" 0.0
+    (Gc.minor_words () -. before);
+  Alcotest.(check int) "body still runs" 7 v;
+  let nl = Alu.netlist ~width:8 () in
+  let timing = Sta.fresh_timing Cell.Library.c28 in
+  let clock_period_ps = 0.9 *. Sta.critical_path_ps ~timing nl in
+  let calls () =
+    let pairs = Sta.endpoint_pairs ~timing ~clock_period_ps nl in
+    let s, e, c, _ = List.hd (Sta.violating_pairs ~timing ~clock_period_ps nl) in
+    ignore (Sta.pair_path ~timing ~clock_period_ps nl s e c);
+    ignore (Sta.retime_pairs ~parent:(nl, timing, pairs) ~timing ~clock_period_ps nl)
+  in
+  calls ();
+  Alcotest.(check int) "disabled: no spans" 0 (count_spans (Telemetry.snapshot ()));
+  Telemetry.enable ~clock:(Telemetry.Clock.virtual_ ()) ();
+  calls ();
+  let snap = Telemetry.snapshot () in
+  Telemetry.disable ();
+  Alcotest.(check (list (pair string int)))
+    "one span per call"
+    [ ("sta.pairs", 3); ("sta.pair_path", 1) ]
+    (List.map (fun (name, n, _) -> (name, n)) (Telemetry.span_totals snap));
+  let retimed =
+    List.filter_map
+      (fun (sp : Telemetry.span) -> List.assoc_opt "endpoints_retimed" sp.Telemetry.sp_args)
+      snap.Telemetry.ss_spans
+  in
+  Alcotest.(check bool) "the re-timing sweep names its endpoints" true
+    (retimed = [ Telemetry.Int 0 ])
+
 (* ---------- golden Chrome traces ---------- *)
 
 (* The ALU golden is the byte-exact --trace output of
@@ -502,6 +543,8 @@ let () =
         [
           Alcotest.test_case "sim64 hot path allocation-free" `Quick
             test_sim64_zero_allocation_overhead;
+          Alcotest.test_case "disabled span is one flag check" `Quick
+            test_disabled_span_is_one_check;
         ] );
       ( "golden",
         [

@@ -70,13 +70,10 @@ let aged_timing ?(derate = 1.0) ?(clock_tree = Clock_tree.single_domain) ?toggle
 
 (* Per-call state of the timing kernel shared by [analyze],
    [endpoint_pairs] and [pair_path].  [timing.cell_delay] runs at most once
-   per cell, on first touch, so a one-pair query pays only for the cells
-   its DP touches; clock arrivals are taken once per domain.  The DP memo
-   is one float array whose entries count only when stamped with the
-   current cone's epoch, so starting the next endpoint's cone is one
-   increment; [incone] marks the nets of that cone with the same epoch.
-   Nothing outlives the call: fleet domains run calls concurrently and
-   repair edits the netlist between them. *)
+   per cell, on first touch, so a call pays only for the cells it reads;
+   clock arrivals are taken once per domain.  Nothing outlives the call:
+   fleet domains run calls concurrently and repair edits the netlist
+   between them. *)
 type kernel = {
   nl : Netlist.t;
   cells : Netlist.cell array;
@@ -85,14 +82,10 @@ type kernel = {
   dmin : float array;
   known : Bytes.t;
   mutable clocks : (int * float) list;
-  memo : float array;
-  stamp : int array;
-  incone : int array;
-  mutable epoch : int;
 }
 
 let kernel timing nl =
-  let nc = max 1 (Netlist.num_cells nl) and nn = max 1 (Netlist.num_nets nl) in
+  let nc = max 1 (Netlist.num_cells nl) in
   {
     nl;
     cells = Netlist.cells nl;
@@ -101,19 +94,18 @@ let kernel timing nl =
     dmin = Array.make nc 0.0;
     known = Bytes.make nc '\000';
     clocks = [];
-    memo = Array.make nn 0.0;
-    stamp = Array.make nn 0;
-    incone = Array.make nn 0;
-    epoch = 0;
   }
 
-let delay k chk id =
+let touch k id =
   if Bytes.get k.known id = '\000' then begin
     let d = k.timing.cell_delay k.cells.(id) in
     k.dmax.(id) <- d.Cell.tpd_max_ps;
     k.dmin.(id) <- d.Cell.tpd_min_ps;
     Bytes.set k.known id '\001'
-  end;
+  end
+
+let delay k chk id =
+  touch k id;
   match chk with Setup -> k.dmax.(id) | Hold -> k.dmin.(id)
 
 let clock k dom =
@@ -141,60 +133,119 @@ let required k chk ~clock_period_ps ep_id =
 let slack chk ~required arrival =
   match chk with Setup -> required -. arrival | Hold -> arrival -. required
 
-(* Start the backward DP towards [d_net], invalidating the previous cone:
-   the returned function gives the max (setup) or min (hold)
-   combinational delay from a net to [d_net], non-finite when no path
-   connects them.  Its first call walks backward once over combinational
-   drivers, marking [d_net]'s fan-in cone: exactly the nets with a path
-   to [d_net], so a net outside it is answered at once, and a reader
-   whose output lies outside is skipped.  Such a reader's tail was
-   non-finite, adding nothing to the fold, so the float operations, their
-   order and the first-touch [cell_delay] calls are those of the unmarked
-   DP.  A cone that is never queried (every pair skipped) costs no walk. *)
-let cone k chk d_net =
-  k.epoch <- k.epoch + 1;
-  let epoch = k.epoch in
-  let rec mark net =
-    if k.incone.(net) <> epoch then begin
-      k.incone.(net) <- epoch;
-      match Netlist.driver k.nl net with
-      | Netlist.Driven_by_cell id when id >= 0 && not (Cell.Kind.is_sequential k.cells.(id).kind)
-        ->
-        Array.iter mark k.cells.(id).inputs
-      | Netlist.Driven_by_cell _ | Netlist.Driven_by_input _ -> ()
-    end
-  in
-  let worse a b = match chk with Setup -> Float.max a b | Hold -> Float.min a b in
-  let neutral = match chk with Setup -> neg_infinity | Hold -> infinity in
-  let rec tail net =
-    if k.incone.(net) <> epoch then neutral
-    else if k.stamp.(net) = epoch then k.memo.(net)
-    else begin
-      let direct = if net = d_net then 0.0 else neutral in
-      let through =
-        List.fold_left
-          (fun acc rid ->
-            let g = k.cells.(rid) in
-            if Cell.Kind.is_sequential g.kind || k.incone.(g.output) <> epoch then acc
-            else begin
-              let t = tail g.output in
-              if Float.is_finite t then worse acc (delay k chk rid +. t) else acc
+(* Per-call state of the per-endpoint pass of [endpoint_pairs] and
+   [pair_path].  [tmax]/[tmin] hold each net's setup/hold tail: the max/min
+   combinational delay from the net to the current endpoint's D pin.  A
+   tail counts only while its net's [stamp] equals the current [epoch]
+   (the net is in the pass's cone), so the next endpoint starts with an
+   increment and the tail arrays need no initialisation. *)
+type cones = {
+  k : kernel;
+  topo : int array;
+  pos : int array;  (** each combinational cell's index in [topo] *)
+  tmax : float array;
+  tmin : float array;
+  stamp : int array;
+  stack : int array;
+  mutable epoch : int;
+}
+
+let cones k =
+  let nn = max 1 (Netlist.num_nets k.nl) and topo = Netlist.topo_order k.nl in
+  let pos = Array.make (Array.length k.cells) 0 in
+  Array.iteri (fun p id -> pos.(id) <- p) topo;
+  {
+    k;
+    topo;
+    pos;
+    tmax = Array.create_float nn;
+    tmin = Array.create_float nn;
+    stamp = Array.make nn 0;
+    stack = Array.make nn 0;
+    epoch = 0;
+  }
+
+(* Both tails of every net towards [d_net], in one pass.  The stack walk
+   marks [d_net]'s fan-in cone (the nets with a combinational path to it)
+   and sets each to neutral; the reverse topological walk then pushes
+   [delay + tail output] of every combinational cell whose output is in
+   the cone into the tails of its inputs, so only those cells get a
+   [cell_delay] call.  With [from], a forward stack walk first stamps the
+   nets [from] reaches with [epoch - 1], and the cone keeps only those:
+   the nets on a path from [from] to [d_net].  A tail depends only on the
+   tails of its readers' outputs, which lie on such a path too, so every
+   tail in the smaller cone is still exact. *)
+let pass ?from c d_net =
+  c.epoch <- c.epoch + 2;
+  let e = c.epoch and cells = c.k.cells in
+  let n = ref 0 in
+  let allowed =
+    match from with
+    | None -> fun _ -> true
+    | Some net0 ->
+      c.stamp.(net0) <- e - 1;
+      c.stack.(0) <- net0;
+      n := 1;
+      while !n > 0 do
+        decr n;
+        List.iter
+          (fun rid ->
+            let g = cells.(rid) in
+            if c.stamp.(g.output) < e - 1 && not (Cell.Kind.is_sequential g.kind) then begin
+              c.stamp.(g.output) <- e - 1;
+              c.stack.(!n) <- g.output;
+              incr n
             end)
-          neutral (Netlist.readers k.nl net)
-      in
-      let d = worse direct through in
-      k.memo.(net) <- d;
-      k.stamp.(net) <- epoch;
-      d
-    end
+          (Netlist.readers c.k.nl c.stack.(!n))
+      done;
+      fun net -> c.stamp.(net) = e - 1
   in
-  let marked = ref false in
-  fun net ->
-    if not !marked then begin
-      mark d_net;
-      marked := true
-    end;
-    tail net
+  let lo = ref max_int and hi = ref (-1) and i = ref 0 in
+  if allowed d_net then begin
+    c.stamp.(d_net) <- e;
+    c.stack.(0) <- d_net;
+    n := 1
+  end;
+  while !i < !n do
+    let net = c.stack.(!i) in
+    incr i;
+    c.tmax.(net) <- neg_infinity;
+    c.tmin.(net) <- infinity;
+    match Netlist.driver c.k.nl net with
+    | Netlist.Driven_by_cell id when id >= 0 && not (Cell.Kind.is_sequential cells.(id).kind) ->
+      lo := min !lo c.pos.(id);
+      hi := max !hi c.pos.(id);
+      Array.iter
+        (fun inp ->
+          if c.stamp.(inp) <> e && allowed inp then begin
+            c.stamp.(inp) <- e;
+            c.stack.(!n) <- inp;
+            incr n
+          end)
+        cells.(id).inputs
+    | Netlist.Driven_by_cell _ | Netlist.Driven_by_input _ -> ()
+  done;
+  c.tmax.(d_net) <- 0.0;
+  c.tmin.(d_net) <- 0.0;
+  for p = !hi downto !lo do
+    let id = c.topo.(p) in
+    let g = cells.(id) in
+    if c.stamp.(g.output) = e && Array.length g.inputs > 0 then begin
+      touch c.k id;
+      let tx = c.k.dmax.(id) +. c.tmax.(g.output) and tn = c.k.dmin.(id) +. c.tmin.(g.output) in
+      Array.iter
+        (fun inp ->
+          c.tmax.(inp) <- Float.max c.tmax.(inp) tx;
+          c.tmin.(inp) <- Float.min c.tmin.(inp) tn)
+        g.inputs
+    end
+  done
+
+(* The last pass's tail of [net]; neutral (non-finite) outside its cone. *)
+let tail c chk net =
+  match chk with
+  | Setup -> if c.stamp.(net) = c.epoch then c.tmax.(net) else neg_infinity
+  | Hold -> if c.stamp.(net) = c.epoch then c.tmin.(net) else infinity
 
 (* Maximum and minimum data arrival time at every net, relative to the
    launching clock edge at t = 0 (clock arrivals shift launch times per
@@ -342,46 +393,53 @@ let critical_path_ps ~timing nl =
     (fun acc e -> Float.max acc (1e9 -. e.setup_slack_ps))
     0.0 probe.endpoint_slacks
 
-(* Exact per-(startpoint, endpoint) worst slacks: for each endpoint, one
-   backward DP over its fan-in cone computes the max (resp. min) path delay
-   from every net to the endpoint's D pin, from which each launching
-   register's worst arrival follows directly.  Unlike path enumeration this
-   is immune to path-count explosion. *)
+(* Exact per-(startpoint, endpoint) worst slacks: one [pass] per endpoint
+   gives both tails of every net in its fan-in cone, from which each
+   launching register's worst arrival follows directly.  Unlike path
+   enumeration this is immune to path-count explosion.  An endpoint whose
+   pairs are all skipped costs no pass.  Pairs come out as every Setup
+   block, then every Hold block, endpoints in [dffs] order; within a block
+   the registers in [dffs] order, then the constrained input bits. *)
 let sweep ?(constrain_inputs = false) ?(skip = fun _ _ _ -> false) ~timing ~clock_period_ps nl =
   let k = kernel timing nl in
-  let results = ref [] in
-  let for_check chk =
-    List.iter
-      (fun ep_id ->
-        let required = required k chk ~clock_period_ps ep_id in
-        let tail = cone k chk k.cells.(ep_id).inputs.(0) in
-        let consider start launch_ps net =
-          (* Skipped pairs do no DP work at all: when every pair of an
-             endpoint is skipped, its fan-in cone is never traversed. *)
-          if not (skip start (At_dff ep_id) chk) then begin
-            let t = tail net in
-            if Float.is_finite t then
-              let s = slack chk ~required (launch_ps +. t) in
-              results := (start, At_dff ep_id, chk, s) :: !results
-          end
-        in
-        (* launching registers *)
-        List.iter
-          (fun sid -> consider (From_dff sid) (launch k chk sid) k.cells.(sid).output)
-          (Netlist.dffs nl);
-        (* primary inputs, when constrained *)
-        if constrain_inputs then
-          List.iter
-            (fun (p : Netlist.port) ->
-              Array.iteri
-                (fun bit net -> consider (From_input (p.port_name, bit)) timing.input_arrival_ps net)
-                p.port_nets)
-            (Netlist.inputs nl))
+  let c = cones k in
+  let starts =
+    List.map
+      (fun sid -> (From_dff sid, k.cells.(sid).output, launch k Setup sid, launch k Hold sid))
       (Netlist.dffs nl)
+    @
+    if not constrain_inputs then []
+    else
+      List.concat_map
+        (fun (p : Netlist.port) ->
+          let at = timing.input_arrival_ps in
+          List.mapi (fun bit net -> (From_input (p.port_name, bit), net, at, at))
+            (Array.to_list p.port_nets))
+        (Netlist.inputs nl)
   in
-  for_check Setup;
-  for_check Hold;
-  List.rev !results
+  let setup = ref [] and hold = ref [] in
+  List.iter
+    (fun ep_id ->
+      let ep = At_dff ep_id in
+      if List.exists (fun (s, _, _, _) -> not (skip s ep Setup && skip s ep Hold)) starts then begin
+        pass c k.cells.(ep_id).inputs.(0);
+        let emit chk acc =
+          let required = required k chk ~clock_period_ps ep_id in
+          List.iter
+            (fun (s, net, launch_setup, launch_hold) ->
+              if not (skip s ep chk) then begin
+                let t = tail c chk net in
+                if Float.is_finite t then
+                  let launch_ps = match chk with Setup -> launch_setup | Hold -> launch_hold in
+                  acc := (s, ep, chk, slack chk ~required (launch_ps +. t)) :: !acc
+              end)
+            starts
+        in
+        emit Setup setup;
+        emit Hold hold
+      end)
+    (Netlist.dffs nl);
+  List.rev_append !setup (List.rev !hold)
 
 let endpoint_pairs ?constrain_inputs ?skip ~timing ~clock_period_ps nl =
   Telemetry.with_span ~cat:"sta" "sta.pairs" (fun () ->
@@ -499,19 +557,16 @@ let violating_pairs ?constrain_inputs ?skip ~timing ~clock_period_ps nl =
   |> List.filter (fun (_, _, _, slack) -> slack < 0.0)
   |> List.sort (fun (_, _, _, a) (_, _, _, b) -> Float.compare a b)
 
-(* Worst path of one pair: run the per-endpoint DP of [endpoint_pairs] for
-   the one endpoint, then walk forward from the launching net choosing at
-   each step a reader that achieves the memoized extremal tail — the walk
-   reconstructs an argmax (argmin for hold) path without enumerating the
-   cone. *)
+(* Worst path of one pair: run [endpoint_pairs]'s pass for the one
+   endpoint, then walk forward from the launching net choosing at each step
+   a reader that achieves the pass's extremal tail — the walk reconstructs
+   an argmax (argmin for hold) path without enumerating the cone. *)
 let pair_path ?(constrain_inputs = false) ~timing ~clock_period_ps nl start
     (At_dff ep_id) chk =
   Telemetry.with_span ~cat:"sta" "sta.pair_path" @@ fun () ->
   let k = kernel timing nl in
   let cells = k.cells in
   let d_net = cells.(ep_id).inputs.(0) in
-  let required = required k chk ~clock_period_ps ep_id in
-  let tail = cone k chk d_net in
   let source =
     match start with
     | From_dff sid -> Some (cells.(sid).output, launch k chk sid)
@@ -523,6 +578,9 @@ let pair_path ?(constrain_inputs = false) ~timing ~clock_period_ps nl start
   match source with
   | None -> None
   | Some (net0, launch_ps) ->
+    let c = cones k in
+    pass ~from:net0 c d_net;
+    let tail = tail c chk in
     let t0 = tail net0 in
     if not (Float.is_finite t0) then None
     else begin
@@ -551,7 +609,7 @@ let pair_path ?(constrain_inputs = false) ~timing ~clock_period_ps nl start
           finish = At_dff ep_id;
           through = walk net0 [];
           delay_ps = arrival;
-          slack_ps = slack chk ~required arrival;
+          slack_ps = slack chk ~required:(required k chk ~clock_period_ps ep_id) arrival;
           check = chk;
         }
     end

@@ -112,14 +112,18 @@ val endpoint_pairs :
   Netlist.t ->
   (startpoint * endpoint * check * float) list
 (** Exact worst slack for every (startpoint, endpoint) register pair and
-    check, computed by per-endpoint dynamic programming over the fan-in
-    cone — immune to the combinatorial path-count explosion that bounds
-    {!analyze}'s enumeration.  One tuple per connected pair and check.
+    check, computed by one pass per endpoint over its fan-in cone that
+    yields the setup and hold tails together — immune to the
+    combinatorial path-count explosion that bounds {!analyze}'s
+    enumeration.  One tuple per connected pair and check: every Setup
+    tuple, then every Hold tuple; within a check, endpoints in
+    {!Netlist.dffs} order, and per endpoint the registers in that order,
+    then the constrained input bits.
 
     Pairs for which [skip] returns [true] (default: none) are dropped
     before any cone traversal — an endpoint whose pairs are all skipped
     costs nothing.  {!Check.Spbound} uses this to prune statically-safe
-    pairs from the phase-1 sweep. *)
+    pairs from the phase-1 sweep.  Runs under an [sta.pairs] span. *)
 
 val retime_pairs :
   ?on_retime:(retimed:int -> total:int -> unit) ->
@@ -149,7 +153,8 @@ val retime_pairs :
     [endpoint_pairs ~skip]; every other endpoint keeps the parent's
     block, because its fan-in cone is made of unchanged cells.
     [on_retime] receives the number of endpoints re-timed and the
-    endpoint total. *)
+    endpoint total; the re-timing sweep's [sta.pairs] span carries the
+    first as [endpoints_retimed]. *)
 
 val violating_pairs :
   ?constrain_inputs:bool ->
@@ -172,13 +177,14 @@ val pair_path :
   check ->
   path option
 (** The single worst path of one (startpoint, endpoint) pair: the same
-    per-endpoint dynamic program as {!endpoint_pairs} followed by an
-    argmax walk that reconstructs the extremal path's cells, so — unlike
+    per-endpoint pass as {!endpoint_pairs}, kept to the nets the
+    startpoint reaches, followed by an argmax walk that reconstructs the extremal path's cells, so — unlike
     {!analyze}'s enumeration — it is immune to the path-count cap and
     returns the path whether or not it violates.  [None] when no
     combinational path connects the pair (or the startpoint is an
     unconstrained primary input).  The netlist repair pass uses this as
-    its path oracle when choosing where to rewrite. *)
+    its path oracle when choosing where to rewrite.  Runs under an
+    [sta.pair_path] span. *)
 
 val render_report : Netlist.t -> report -> string
 (** Signoff-style textual rendering: WNS summary, the violating paths

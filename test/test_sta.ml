@@ -749,6 +749,16 @@ let corner_timing c nl =
     ~sp_of_net:(fun n -> sp.(n))
     ~years:c.years aglib_c28
 
+(* A skip predicate drawn from [seed] that gives each endpoint one of four
+   shapes: nothing skipped, its setup pairs skipped, every pair skipped,
+   or the pairs of about half its starts skipped under one check. *)
+let mixed_skip seed s (Sta.At_dff e) chk =
+  match Hashtbl.hash (seed, e) mod 4 with
+  | 0 -> false
+  | 1 -> chk = Sta.Setup
+  | 2 -> true
+  | _ -> Hashtbl.hash (seed, s) mod 2 = 0 && chk = if e mod 2 = 0 then Sta.Setup else Sta.Hold
+
 let prop_kernel_matches_oracle =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:12 ~name:"cached kernel bit-identical to per-edge oracle"
@@ -758,6 +768,8 @@ let prop_kernel_matches_oracle =
          let timing = corner_timing c nl in
          let clock_period_ps = crit *. c.margin and constrain_inputs = c.constrain in
          let pairs = Sta.endpoint_pairs ~constrain_inputs ~timing ~clock_period_ps nl in
+         let skip = mixed_skip c.seed in
+         let skipped = Sta.endpoint_pairs ~constrain_inputs ~skip ~timing ~clock_period_ps nl in
          let violating = Sta.violating_pairs ~constrain_inputs ~timing ~clock_period_ps nl in
          (* the worst violating pairs, a spread of all pairs, and one
             primary-input start (None unless inputs are constrained) *)
@@ -785,6 +797,8 @@ let prop_kernel_matches_oracle =
          let oracle = Oracle.analyze ~constrain_inputs ~max_violating_paths:500 in
          let oracle_pairs = Oracle.endpoint_pairs ~constrain_inputs ~timing ~clock_period_ps nl in
          all2 same_pair pairs oracle_pairs
+         && all2 same_pair skipped
+              (Oracle.endpoint_pairs ~constrain_inputs ~skip ~timing ~clock_period_ps nl)
          && all2 same_pair violating (Oracle.violating_of_pairs oracle_pairs)
          && List.for_all same_query queries
          && same_report (report ~timing ~clock_period_ps nl) (oracle ~timing ~clock_period_ps nl)
@@ -1175,8 +1189,10 @@ let test_cone_cases () =
       ("fan-out leaving the cone", cone_fanout ());
     ]
 
-(* [endpoint_pairs] asks [cell_delay] only for cells inside some
-   endpoint's combinational fan-in cone. *)
+(* The first-touch contract of [endpoint_pairs]: [cell_delay] runs at
+   most once per cell, and only for cells in the fan-in cone of an
+   endpoint with an unskipped pair.  An endpoint whose pairs are all
+   skipped walks no cone, so skipping every pair asks for no delay. *)
 let test_delay_only_in_cones () =
   let corner =
     { unit_ix = 0; seed = 2; years = 10.0; derate = 1.0; margin = 0.98; sp_gated = 0.05;
@@ -1185,27 +1201,49 @@ let test_delay_only_in_cones () =
   List.iter
     (fun (name, nl) ->
       let timing = corner_timing corner nl in
-      let in_cones = Array.make (Netlist.num_cells nl) false in
-      List.iter
-        (fun id ->
-          Array.iteri
-            (fun c inside -> if inside then in_cones.(c) <- true)
-            (comb_fanin nl (Netlist.cell nl id).inputs.(0)))
-        (Netlist.dffs nl);
-      let outside = ref [] and called = ref 0 in
-      let cell_delay (c : Netlist.cell) =
-        incr called;
-        if not in_cones.(c.id) then outside := c.name :: !outside;
-        timing.Sta.cell_delay c
+      let run what ~constrain_inputs ~skip =
+        let live = Array.make (Netlist.num_cells nl) false in
+        List.iter
+          (fun id ->
+            let starts =
+              List.map (fun s -> Sta.From_dff s) (Netlist.dffs nl)
+              @ List.concat_map
+                  (fun (p : Netlist.port) ->
+                    List.init (Array.length p.port_nets) (fun b -> Sta.From_input (p.port_name, b)))
+                  (if constrain_inputs then Netlist.inputs nl else [])
+            in
+            if
+              List.exists
+                (fun s -> not (skip s (Sta.At_dff id) Sta.Setup && skip s (Sta.At_dff id) Sta.Hold))
+                starts
+            then
+              Array.iteri
+                (fun c inside -> if inside then live.(c) <- true)
+                (comb_fanin nl (Netlist.cell nl id).inputs.(0)))
+          (Netlist.dffs nl);
+        let calls = Array.make (Netlist.num_cells nl) 0 and outside = ref [] in
+        let cell_delay (c : Netlist.cell) =
+          calls.(c.id) <- calls.(c.id) + 1;
+          if not live.(c.id) then outside := c.name :: !outside;
+          timing.Sta.cell_delay c
+        in
+        ignore
+          (Sta.endpoint_pairs ~constrain_inputs ~skip ~timing:{ timing with Sta.cell_delay }
+             ~clock_period_ps:1000.0 nl);
+        let label = Printf.sprintf "%s, %s, constrain %b" name what constrain_inputs in
+        Alcotest.(check (list string)) (label ^ ": cells outside every live cone") [] !outside;
+        Alcotest.(check bool) (label ^ ": at most one call per cell") true
+          (Array.for_all (fun n -> n <= 1) calls);
+        Array.fold_left ( + ) 0 calls
       in
       List.iter
         (fun constrain_inputs ->
-          ignore
-            (Sta.endpoint_pairs ~constrain_inputs ~timing:{ timing with Sta.cell_delay }
-               ~clock_period_ps:1000.0 nl))
-        [ false; true ];
-      Alcotest.(check bool) (name ^ ": delays asked") true (!called > 0);
-      Alcotest.(check (list string)) (name ^ ": cells outside every cone") [] !outside)
+          let all = run "nothing skipped" ~constrain_inputs ~skip:(fun _ _ _ -> false) in
+          Alcotest.(check bool) (name ^ ": delays asked") true (all > 0);
+          ignore (run "mixed skips" ~constrain_inputs ~skip:(mixed_skip 3));
+          Alcotest.(check int) (name ^ ": everything skipped asks for no delay") 0
+            (run "everything skipped" ~constrain_inputs ~skip:(fun _ _ _ -> true)))
+        [ false; true ])
     (List.map (fun (name, nl, _) -> (name, nl)) (Lazy.force kernel_units)
     @ [ ("dead starts", cone_dead_starts ()); ("fan-out", cone_fanout ()) ])
 

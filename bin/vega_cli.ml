@@ -270,9 +270,14 @@ let analyze_cmd =
       0
     end
     else
-    (* workload characterization + area/power from the same profiled run *)
-    let m = Vega.machine_for ~profile_units:true target in
-    Vega.run_minver_workload m;
+    (* workload characterization + area/power from phase 1's profiled run *)
+    let profiled = ref None in
+    let workload m =
+      Vega.run_minver_workload m;
+      profiled := Some m
+    in
+    let a = Vega.aging_analysis ~config ~static_prune target ~workload in
+    let m = Option.get !profiled in
     let stats = Machine.op_stats m in
     Printf.printf "workload op mix: ";
     List.iter (fun (op, n) -> Printf.printf "%s:%d " (Alu.op_name op) n) stats.Machine.alu_ops;
@@ -291,9 +296,6 @@ let analyze_cmd =
         (Power.render
            (Power.analyze_engine (module Simc.Lane) Cell.Library.c28 (Simc.lane_view unit_sim 0)
               ~clock_mhz:200.0));
-    let a =
-      Vega.aging_analysis ~config ~static_prune target ~workload:Vega.run_minver_workload
-    in
     Printf.printf "netlist: %d cells, clock period %.0f ps (margin %.3f)\n"
       (Netlist.num_cells target.Lift.netlist) a.Vega.clock_period_ps margin;
     (match a.Vega.static_verdicts with

@@ -1822,72 +1822,90 @@ let fleet_campaign ?(config = quick_fleet) ?netlist ?(domains = 1) ?(log = fun _
     match netlist with Some nl -> { t with Lift.netlist = nl } | None -> t
   in
   let nl = target.Lift.netlist in
-  log (Printf.sprintf "fleet: phase 1 aging analysis (alu%d, nominal corner)" config.fd_width);
   let analysis =
-    Vega.aging_analysis
-      ~config:{ Vega.default_phase1 with Vega.clock_margin = config.fd_margin }
-      target ~workload:minver_workload
+    lazy
+      (log (Printf.sprintf "fleet: phase 1 aging analysis (alu%d, nominal corner)" config.fd_width);
+       Vega.aging_analysis
+         ~config:{ Vega.default_phase1 with Vega.clock_margin = config.fd_margin }
+         target ~workload:minver_workload)
   in
-  let clock_period_ps = analysis.Vega.clock_period_ps in
-  (* the vendor lifts the deployed suite at the WORST fleet corner
-     (hottest, highest Vdd, full service life): a fleet ships one test
-     binary, and it must cover the most aged device it will ever meet.
-     Devices whose onset pair falls outside the lifted budget are the
-     campaign's escapes. *)
-  let worst_pairs =
-    let aglib = corner_aging_library ~temp_k:config.fd_temp_max_k ~vdd:config.fd_vdd_max in
-    let timing =
-      Sta.aged_timing
-        ~clock_tree:Vega.default_phase1.Vega.clock_tree
-        ~sp_of_net:analysis.Vega.sp_of_net ~years:config.fd_years_max aglib
-    in
-    Sta.violating_pairs ~timing ~clock_period_ps nl
+  (* the clock and the deployed suite are shared by the whole fleet;
+     checkpoint them in shard 0 so a resumed run needs no phase 1 *)
+  let clock_period_ps =
+    ck_memo checkpoint "fleet~clock" ~encode:(fun p -> Json.Float p) ~decode:Json.to_float
+      ~on_restore:ignore
+      (fun () -> (Lazy.force analysis).Vega.clock_period_ps)
   in
-  (* the deployed suite is shared by the whole fleet; checkpoint it in
-     shard 0 so a resumed run skips the lift *)
   let selected =
     memo_lift checkpoint "fleet~lift"
       ~on_restore:(fun () -> log "fleet: deployed suite restored from checkpoint")
       (fun () ->
+        (* the vendor lifts the deployed suite at the WORST fleet corner
+           (hottest, highest Vdd, full service life): a fleet ships one
+           test binary, and it must cover the most aged device it will
+           ever meet.  Devices whose onset pair falls outside the lifted
+           budget are the campaign's escapes. *)
+        let worst_pairs =
+          let aglib = corner_aging_library ~temp_k:config.fd_temp_max_k ~vdd:config.fd_vdd_max in
+          let timing =
+            Sta.aged_timing
+              ~clock_tree:Vega.default_phase1.Vega.clock_tree
+              ~sp_of_net:(Lazy.force analysis).Vega.sp_of_net ~years:config.fd_years_max aglib
+          in
+          Sta.violating_pairs ~timing ~clock_period_ps nl
+        in
         log "fleet: error lifting for the deployed suite (worst fleet corner)";
         select_campaign_pairs target worst_pairs config.fd_specs)
   in
   let suite = Lift.suite_of_results target.Lift.kind selected in
   let n_cases = List.length suite.Lift.suite_cases in
-  (* schedule latency: the deployed suite runs case 0, 1, ... in order, so
-     detection at case i costs the cycles of every case up to i *)
-  let case_prefix_cycles =
-    let acc = ref 0 in
-    suite.Lift.suite_cases
-    |> List.map (fun c ->
-           acc :=
-             !acc
-             + Vega.suite_cycles { Lift.suite_target = suite.Lift.suite_target; suite_cases = [ c ] };
-           !acc)
-    |> Array.of_list
-  in
   let corners = fleet_corners config in
-  (* profile only the kernels some device runs, in pool order *)
-  let kernels =
-    List.filter
-      (fun name -> List.exists (fun c -> String.equal c.dc_kernel name) corners)
-      (fleet_kernel_pool config)
-  in
-  log (Printf.sprintf "fleet: SP profiles for %d kernel(s)" (List.length kernels));
-  let sp_by_kernel =
-    Telemetry.with_span ~cat:"experiments" "fleet_campaign.profiles" @@ fun () ->
-    List.map
-      (fun name ->
-        let b = Workload.find name in
-        match Vega.profile_sp target ~workload:(kernel_workload b) with
-        | Some (_, sp) -> (name, sp)
-        | None -> (name, analysis.Vega.sp_of_net))
-      kernels
-  in
   let tasks =
     List.map
       (fun c -> { Fleet.tk_key = Printf.sprintf "device-%04d" c.dc_device; Fleet.tk_payload = c })
       corners
+  in
+  (* a device's context: the suite's schedule and the SP profile of each
+     kernel it may run; a run that restores every device needs none *)
+  let eval =
+    let restored ck = Fleet.all_restored ck ~decode:fleet_row_of_json tasks in
+    if Option.fold ~none:false ~some:restored checkpoint then fun ~seed:_ _ ->
+      invalid_arg "Experiments.fleet_campaign: restored device re-run"
+    else begin
+      (* schedule latency: the deployed suite runs case 0, 1, ... in order,
+         so detection at case i costs the cycles of every case up to i *)
+      let case_prefix_cycles =
+        let acc = ref 0 in
+        suite.Lift.suite_cases
+        |> List.map (fun c ->
+               acc :=
+                 !acc
+                 + Vega.suite_cycles
+                     { Lift.suite_target = suite.Lift.suite_target; suite_cases = [ c ] };
+               !acc)
+        |> Array.of_list
+      in
+      (* profile only the kernels some device runs, in pool order *)
+      let kernels =
+        List.filter
+          (fun name -> List.exists (fun c -> String.equal c.dc_kernel name) corners)
+          (fleet_kernel_pool config)
+      in
+      log (Printf.sprintf "fleet: SP profiles for %d kernel(s)" (List.length kernels));
+      let sp_by_kernel =
+        Telemetry.with_span ~cat:"experiments" "fleet_campaign.profiles" @@ fun () ->
+        List.map
+          (fun name ->
+            let b = Workload.find name in
+            match Vega.profile_sp target ~workload:(kernel_workload b) with
+            | Some (_, sp) -> (name, sp)
+            | None -> (name, (Lazy.force analysis).Vega.sp_of_net))
+          kernels
+      in
+      fun ~seed corner ->
+        fleet_eval ~config ~clock_period_ps ~nl ~sp_by_kernel ~suite ~case_prefix_cycles ~seed
+          corner
+    end
   in
   log
     (Printf.sprintf "fleet: evaluating %d device(s) on %d domain(s), %d-case deployed suite"
@@ -1901,11 +1919,8 @@ let fleet_campaign ?(config = quick_fleet) ?netlist ?(domains = 1) ?(log = fun _
           fl_backoff_s = 0.02;
           fl_timeout_s = config.fd_timeout_s;
         }
-      ?checkpoint ~log ~seed:config.fd_seed
-      ~f:(fun ~seed corner ->
-        fleet_eval ~config ~clock_period_ps ~nl ~sp_by_kernel ~suite ~case_prefix_cycles ~seed
-          corner)
-      ~encode:fleet_row_to_json ~decode:fleet_row_of_json tasks
+      ?checkpoint ~log ~seed:config.fd_seed ~f:eval ~encode:fleet_row_to_json
+      ~decode:fleet_row_of_json tasks
   in
   let fe_results =
     List.map2

@@ -119,6 +119,13 @@ let entry_of_json decode j =
     | Ok e -> Some (Error e)
     | Error _ -> None)
 
+(* The stored outcome of [key], when present and decodable. *)
+let restore checkpoint decode key =
+  Option.bind (Resilience.Checkpoint.sharded_load checkpoint key) (entry_of_json decode)
+
+let all_restored checkpoint ~decode tasks =
+  List.for_all (fun t -> Option.is_some (restore checkpoint decode t.tk_key)) tasks
+
 (* ---- slots ---- *)
 
 type slot_state = Pending | Running of float | Done
@@ -210,16 +217,13 @@ let run ?(config = default_config) ?checkpoint ?(log = fun _ -> ()) ~seed ~f ~en
   | Some sh ->
     Array.iter
       (fun s ->
-        match Resilience.Checkpoint.sharded_load sh s.sl_key with
-        | None -> ()
-        | Some j -> (
-          match entry_of_json decode j with
-          | Some result ->
-            s.sl_state <- Done;
-            s.sl_result <- Some result;
-            s.sl_from_ck <- true;
-            incr ck_hits
-          | None -> () (* undecodable: recompute *)))
+        match restore sh decode s.sl_key with
+        | Some result ->
+          s.sl_state <- Done;
+          s.sl_result <- Some result;
+          s.sl_from_ck <- true;
+          incr ck_hits
+        | None -> () (* absent or undecodable: recompute *))
       slots);
   let shard_for wi =
     match checkpoint with

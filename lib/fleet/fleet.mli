@@ -114,6 +114,11 @@ val run :
     shard [k mod shard_count]; restored items (including restored
     quarantine dispositions) are not re-executed. *)
 
+val all_restored :
+  Resilience.Checkpoint.sharded -> decode:(Json.t -> ('r, string) result) -> 'a task list -> bool
+(** Whether {!run} with this checkpoint and codec would restore every task
+    (a stored quarantine counts), so that it would execute none. *)
+
 val tally_to_counters : stats -> Telemetry.Counter.snapshot list
 (** The health counters as telemetry snapshots (name-sorted), the form
     in which per-run tallies aggregate across runs or machines with

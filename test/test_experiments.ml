@@ -209,6 +209,39 @@ let test_campaign_row_codec () =
         (Result.bind (Json.of_string (Json.to_string j)) Experiments.campaign_row_of_json = Ok r))
     rows
 
+(* A resume after a full fleet run restores every device, the clock and
+   the deployed suite: it reports the same rows and runs neither phase 1
+   nor an SP profile. *)
+let test_fleet_full_resume () =
+  let config =
+    { Experiments.quick_fleet with Experiments.fd_devices = 4; fd_specs = 1; fd_year_steps = 4 }
+  in
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let open_ck resume =
+        match
+          Resilience.Checkpoint.open_sharded ~resume ~dir ~digest:(Experiments.fleet_digest config)
+            ~shards:1 ()
+        with
+        | Ok ck -> ck
+        | Error msg -> Alcotest.failf "checkpoint open failed: %s" msg
+      in
+      let full = Experiments.fleet_campaign ~config ~checkpoint:(open_ck false) () in
+      Telemetry.enable ~clock:(Telemetry.Clock.virtual_ ()) ();
+      let resumed =
+        Fun.protect ~finally:Telemetry.disable (fun () ->
+            Experiments.fleet_campaign ~config ~checkpoint:(open_ck true) ())
+      in
+      let spans = List.map (fun (name, _, _) -> name) (Telemetry.span_totals (Telemetry.snapshot ())) in
+      Alcotest.(check string) "resumed rows identical" (Experiments.render_fleet full)
+        (Experiments.render_fleet resumed);
+      Alcotest.(check (list string)) "no phase 1, no SP profile, no device run" []
+        (List.filter
+           (fun n -> List.mem n [ "vega.phase1"; "fleet_campaign.profiles"; "sta.pairs"; "fleet.item" ])
+           spans))
+
 let () =
   Alcotest.run "experiments"
     [
@@ -230,4 +263,5 @@ let () =
           Alcotest.test_case "checkpoint resume and staleness" `Quick test_attack_campaign_resume;
           Alcotest.test_case "row codec round-trips every mode" `Quick test_campaign_row_codec;
         ] );
+      ("fleet campaign", [ Alcotest.test_case "full resume skips phase 1" `Quick test_fleet_full_resume ]);
     ]

@@ -141,98 +141,74 @@ let slack chk ~required arrival =
    increment and the tail arrays need no initialisation. *)
 type cones = {
   k : kernel;
-  topo : int array;
-  pos : int array;  (** each combinational cell's index in [topo] *)
   tmax : float array;
   tmin : float array;
   stamp : int array;
-  stack : int array;
+  stack : int array;  (** the combinational driver of each open net, or -1 *)
+  next : int array;  (** the next input of that driver to visit *)
+  order : int array;  (** the cone's cells, drivers before readers *)
   mutable epoch : int;
 }
 
 let cones k =
-  let nn = max 1 (Netlist.num_nets k.nl) and topo = Netlist.topo_order k.nl in
-  let pos = Array.make (Array.length k.cells) 0 in
-  Array.iteri (fun p id -> pos.(id) <- p) topo;
+  let nn = max 1 (Netlist.num_nets k.nl) in
   {
     k;
-    topo;
-    pos;
     tmax = Array.create_float nn;
     tmin = Array.create_float nn;
     stamp = Array.make nn 0;
     stack = Array.make nn 0;
+    next = Array.make nn 0;
+    order = Array.make (Array.length k.cells) 0;
     epoch = 0;
   }
 
-(* Both tails of every net towards [d_net], in one pass.  The stack walk
-   marks [d_net]'s fan-in cone (the nets with a combinational path to it)
-   and sets each to neutral; the reverse topological walk then pushes
-   [delay + tail output] of every combinational cell whose output is in
-   the cone into the tails of its inputs, so only those cells get a
-   [cell_delay] call.  With [from], a forward stack walk first stamps the
-   nets [from] reaches with [epoch - 1], and the cone keeps only those:
-   the nets on a path from [from] to [d_net].  A tail depends only on the
-   tails of its readers' outputs, which lie on such a path too, so every
-   tail in the smaller cone is still exact. *)
-let pass ?from c d_net =
-  c.epoch <- c.epoch + 2;
-  let e = c.epoch and cells = c.k.cells in
-  let n = ref 0 in
-  let allowed =
-    match from with
-    | None -> fun _ -> true
-    | Some net0 ->
-      c.stamp.(net0) <- e - 1;
-      c.stack.(0) <- net0;
-      n := 1;
-      while !n > 0 do
-        decr n;
-        List.iter
-          (fun rid ->
-            let g = cells.(rid) in
-            if c.stamp.(g.output) < e - 1 && not (Cell.Kind.is_sequential g.kind) then begin
-              c.stamp.(g.output) <- e - 1;
-              c.stack.(!n) <- g.output;
-              incr n
-            end)
-          (Netlist.readers c.k.nl c.stack.(!n))
-      done;
-      fun net -> c.stamp.(net) = e - 1
-  in
-  let lo = ref max_int and hi = ref (-1) and i = ref 0 in
-  if allowed d_net then begin
-    c.stamp.(d_net) <- e;
-    c.stack.(0) <- d_net;
-    n := 1
-  end;
-  while !i < !n do
-    let net = c.stack.(!i) in
-    incr i;
+(* Both tails of every net towards [d_net], in one pass.  A depth-first
+   walk from [d_net] over combinational drivers stamps the fan-in cone
+   (the nets with a combinational path to it), sets each net to neutral,
+   and lists the cone's cells in post-order: every cell after the drivers
+   of its inputs.  The pass then takes the cells in reverse, readers
+   before drivers, and pushes [delay + tail output] of each into the tails
+   of its inputs, so only cone cells get a [cell_delay] call. *)
+let pass c d_net =
+  c.epoch <- c.epoch + 1;
+  let e = c.epoch and cells = c.k.cells and sp = ref 0 and n = ref 0 in
+  let open_net net =
+    c.stamp.(net) <- e;
     c.tmax.(net) <- neg_infinity;
     c.tmin.(net) <- infinity;
-    match Netlist.driver c.k.nl net with
-    | Netlist.Driven_by_cell id when id >= 0 && not (Cell.Kind.is_sequential cells.(id).kind) ->
-      lo := min !lo c.pos.(id);
-      hi := max !hi c.pos.(id);
-      Array.iter
-        (fun inp ->
-          if c.stamp.(inp) <> e && allowed inp then begin
-            c.stamp.(inp) <- e;
-            c.stack.(!n) <- inp;
-            incr n
-          end)
-        cells.(id).inputs
-    | Netlist.Driven_by_cell _ | Netlist.Driven_by_input _ -> ()
+    c.stack.(!sp) <-
+      (match Netlist.driver c.k.nl net with
+      | Netlist.Driven_by_cell id when id >= 0 && not (Cell.Kind.is_sequential cells.(id).kind) ->
+        id
+      | Netlist.Driven_by_cell _ | Netlist.Driven_by_input _ -> -1);
+    c.next.(!sp) <- 0;
+    incr sp
+  in
+  open_net d_net;
+  while !sp > 0 do
+    let id = c.stack.(!sp - 1) and j = c.next.(!sp - 1) in
+    if id >= 0 && j < Array.length cells.(id).inputs then begin
+      c.next.(!sp - 1) <- j + 1;
+      let inp = cells.(id).inputs.(j) in
+      if c.stamp.(inp) <> e then open_net inp
+    end
+    else begin
+      decr sp;
+      if id >= 0 then begin
+        c.order.(!n) <- id;
+        incr n
+      end
+    end
   done;
   c.tmax.(d_net) <- 0.0;
   c.tmin.(d_net) <- 0.0;
-  for p = !hi downto !lo do
-    let id = c.topo.(p) in
-    let g = cells.(id) in
-    if c.stamp.(g.output) = e && Array.length g.inputs > 0 then begin
-      touch c.k id;
-      let tx = c.k.dmax.(id) +. c.tmax.(g.output) and tn = c.k.dmin.(id) +. c.tmin.(g.output) in
+  for i = !n - 1 downto 0 do
+    let g = cells.(c.order.(i)) in
+    if Array.length g.inputs > 0 then begin
+      touch c.k g.id;
+      let tx = c.k.dmax.(g.id) +. c.tmax.(g.output)
+      and tn = c.k.dmin.(g.id) +. c.tmin.(g.output) in
       Array.iter
         (fun inp ->
           c.tmax.(inp) <- Float.max c.tmax.(inp) tx;
@@ -579,7 +555,7 @@ let pair_path ?(constrain_inputs = false) ~timing ~clock_period_ps nl start
   | None -> None
   | Some (net0, launch_ps) ->
     let c = cones k in
-    pass ~from:net0 c d_net;
+    pass c d_net;
     let tail = tail c chk in
     let t0 = tail net0 in
     if not (Float.is_finite t0) then None

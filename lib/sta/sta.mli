@@ -177,8 +177,8 @@ val pair_path :
   check ->
   path option
 (** The single worst path of one (startpoint, endpoint) pair: the same
-    per-endpoint pass as {!endpoint_pairs}, kept to the nets the
-    startpoint reaches, followed by an argmax walk that reconstructs the extremal path's cells, so — unlike
+    per-endpoint pass as {!endpoint_pairs} followed by an argmax walk
+    that reconstructs the extremal path's cells, so — unlike
     {!analyze}'s enumeration — it is immune to the path-count cap and
     returns the path whether or not it violates.  [None] when no
     combinational path connects the pair (or the startpoint is an

@@ -234,12 +234,15 @@ let test_fleet_full_resume () =
         Fun.protect ~finally:Telemetry.disable (fun () ->
             Experiments.fleet_campaign ~config ~checkpoint:(open_ck true) ())
       in
-      let spans = List.map (fun (name, _, _) -> name) (Telemetry.span_totals (Telemetry.snapshot ())) in
+      let spans =
+        List.map (fun (name, _, _) -> name) (Telemetry.span_totals (Telemetry.snapshot ()))
+      in
       Alcotest.(check string) "resumed rows identical" (Experiments.render_fleet full)
         (Experiments.render_fleet resumed);
       Alcotest.(check (list string)) "no phase 1, no SP profile, no device run" []
         (List.filter
-           (fun n -> List.mem n [ "vega.phase1"; "fleet_campaign.profiles"; "sta.pairs"; "fleet.item" ])
+           (fun n ->
+             List.mem n [ "vega.phase1"; "fleet_campaign.profiles"; "sta.pairs"; "fleet.item" ])
            spans))
 
 let () =
@@ -263,5 +266,6 @@ let () =
           Alcotest.test_case "checkpoint resume and staleness" `Quick test_attack_campaign_resume;
           Alcotest.test_case "row codec round-trips every mode" `Quick test_campaign_row_codec;
         ] );
-      ("fleet campaign", [ Alcotest.test_case "full resume skips phase 1" `Quick test_fleet_full_resume ]);
+      ( "fleet campaign",
+        [ Alcotest.test_case "full resume skips phase 1" `Quick test_fleet_full_resume ] );
     ]
